@@ -10,7 +10,7 @@
 # verify.sh's BENCH=1 / OBS=1 blocks call these targets, so the recipe lives
 # in exactly one place.
 
-.PHONY: build test race lint lint-bench verify bench bench-smoke obs-smoke chaos-smoke shard-smoke runtimeobs-smoke shootdown-smoke churn-smoke
+.PHONY: build test race lint lint-bench verify bench bench-smoke fuzz-smoke obs-smoke chaos-smoke shard-smoke runtimeobs-smoke shootdown-smoke churn-smoke
 
 build:
 	go build ./...
@@ -52,6 +52,13 @@ bench:
 
 bench-smoke:
 	go test -run '^$$' -bench=. -benchmem -benchtime=1x ./...
+
+# Bounded native fuzzing. FuzzApplyStreams checks the sharded engine's
+# barrier merge of per-thread cache event streams against a sort-and-apply
+# reference; its seed corpus is internal/cache/testdata/fuzz. A crasher the
+# fuzzer finds lands there too and then runs on every `go test`.
+fuzz-smoke:
+	go test -run '^$$' -fuzz FuzzApplyStreams -fuzztime 20s ./internal/cache
 
 # OBS_DIR overrides where the trace/CSV artifacts land (CI uploads them).
 OBS_DIR ?= .obs-smoke

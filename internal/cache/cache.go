@@ -277,6 +277,10 @@ type Hierarchy struct {
 	// hardware-counter-based mapping comparator (the paper's ref. [7])
 	// reads it.
 	pairC2C [][]uint64
+
+	// mergeHeap is ApplyStreams' reused merge heap, one entry per
+	// non-empty thread stream.
+	mergeHeap []streamHead
 }
 
 // New builds the hierarchy for machine m.

@@ -11,9 +11,10 @@
 // Every effect an access has on shared or foreign-core state (directory
 // sharer/owner updates, invalidations of other cores' copies, L3 fills and
 // refreshes, private-eviction write-backs) is recorded as an Event instead
-// of applied. At the barrier, ApplyEvents replays the union of all workers'
-// events in canonical (virtual-time, thread, sequence) order against the
-// live hierarchy using the same helpers the sequential engine uses.
+// of applied, appended to the issuing thread's own event stream. At the
+// barrier, ApplyStreams merges the streams in canonical (virtual-time,
+// thread, stream-position) order and applies them against the live
+// hierarchy using the same helpers the sequential engine uses.
 //
 // The resulting coherence semantics are epoch-relaxed — cross-core effects
 // become visible at epoch boundaries rather than instantly — but they are a
@@ -22,8 +23,6 @@
 // sharded engine's byte-identity contract rests on.
 
 package cache
-
-import "sort"
 
 // EventKind discriminates the deferred shared-state effects of one access.
 type EventKind uint8
@@ -59,36 +58,35 @@ const (
 	EvFillDir
 )
 
-// Event is one deferred shared-state effect. VTime is the thread's cycle
-// clock at the start of the access that produced it; Seq is the per-thread
-// event sequence number. (VTime, Thread, Seq) is a total order that depends
-// only on the simulated schedule, never on worker count.
+// Event is one deferred shared-state effect. VTime is the issuing thread's
+// cycle clock at the start of the access that produced it. The thread is
+// the stream the event sits in, and its position in that stream orders it
+// among the thread's events: (VTime, thread, position) is a total order
+// that depends only on the simulated schedule, never on worker count.
 type Event struct {
-	VTime  uint64
-	Seq    uint64
-	Line   uint64
-	Thread int32
-	Kind   EventKind
+	VTime uint64
+	Line  uint64
+	Kind  EventKind
 	// Core is the requesting or owning core for private-cache kinds, and
 	// the socket index for the L3 kinds.
 	Core  int16
 	Dirty bool
 }
 
-// Shard is one worker's accumulation state: a private Stats delta, the
-// deferred event list, and the shared per-thread sequence counters (workers
-// touch disjoint indices — a thread runs on exactly one worker per epoch).
+// Shard is one worker's accumulation state: a private Stats delta and the
+// run-wide per-thread event streams (workers append to disjoint streams —
+// a thread runs on exactly one worker per epoch).
 type Shard struct {
-	h      *Hierarchy
-	stats  Stats
-	events []Event
-	seq    []uint64
+	h       *Hierarchy
+	stats   Stats
+	streams [][]Event
 }
 
-// NewShard creates a worker view over h. seq must be the run-wide
-// per-thread sequence array, shared by all shards of the run.
-func (h *Hierarchy) NewShard(seq []uint64) *Shard {
-	return &Shard{h: h, seq: seq}
+// NewShard creates a worker view over h. streams must be the run-wide
+// per-thread event streams, indexed by thread id and shared by all shards
+// of the run.
+func (h *Hierarchy) NewShard(streams [][]Event) *Shard {
+	return &Shard{h: h, streams: streams}
 }
 
 // peekEntry returns a copy of line's directory entry without allocating a
@@ -103,13 +101,12 @@ func (h *Hierarchy) peekEntry(line uint64) dirEntry {
 	return h.dir[c][line&dirChunkMask]
 }
 
-// emit records a deferred effect of the current access.
+// emit appends a deferred effect of the current access to the issuing
+// thread's stream.
 func (s *Shard) emit(vtime uint64, thread int, kind EventKind, core int, line uint64, dirty bool) {
-	s.events = append(s.events, Event{
-		VTime: vtime, Thread: int32(thread), Seq: s.seq[thread],
-		Kind: kind, Core: int16(core), Line: line, Dirty: dirty,
+	s.streams[thread] = append(s.streams[thread], Event{
+		VTime: vtime, Kind: kind, Core: int16(core), Line: line, Dirty: dirty,
 	})
-	s.seq[thread]++
 }
 
 // fillPrivateLocal mirrors fillPrivate for the worker side: the core's own
@@ -260,20 +257,9 @@ func (s *Shard) Access(ctx int, addr uint64, write bool, node int, vtime uint64,
 	return cycles
 }
 
-// DrainEvents returns the shard's accumulated events and resets the buffer,
-// keeping its capacity for the next epoch. The returned slice aliases the
-// buffer: the caller must copy (or fully consume) it before the shard's
-// worker runs again — the engine's barrier merge copies it into the epoch's
-// combined event list before releasing the workers.
-func (s *Shard) DrainEvents() []Event {
-	ev := s.events
-	s.events = s.events[:0]
-	return ev
-}
-
 // MergeStats folds the shard's counter delta into the hierarchy and zeroes
 // it. Invalidations are deliberately absent from deltas: they are counted
-// by ApplyEvents when copies are actually killed.
+// by ApplyStreams when copies are actually killed.
 func (s *Shard) MergeStats() {
 	h := &s.h.stats
 	d := &s.stats
@@ -296,71 +282,146 @@ func (s *Shard) MergeStats() {
 	*d = Stats{}
 }
 
-// SortEvents orders an epoch's merged event list canonically: by the
-// issuing access's virtual time, then thread id, then the thread's own
-// sequence number. The key is a total order (Thread, Seq) is unique), so
-// the result is independent of how events were interleaved across workers.
-func SortEvents(events []Event) {
-	sort.Slice(events, func(i, j int) bool {
-		a, b := &events[i], &events[j]
-		if a.VTime != b.VTime {
-			return a.VTime < b.VTime
-		}
-		if a.Thread != b.Thread {
-			return a.Thread < b.Thread
-		}
-		return a.Seq < b.Seq
-	})
+// streamHead is one non-empty stream's entry in ApplyStreams' merge heap:
+// the vtime of the stream's next event, the thread that owns the stream,
+// and the position of that event.
+type streamHead struct {
+	vtime  uint64
+	thread int
+	pos    int
 }
 
-// ApplyEvents replays a canonically sorted epoch event list against the
-// live hierarchy at the barrier, using the same state-transition helpers as
-// the sequential path. Invalidation counting happens here, against the
-// copies that actually existed at merge time.
-func (h *Hierarchy) ApplyEvents(events []Event) {
-	for i := range events {
-		ev := &events[i]
-		switch ev.Kind {
-		case EvUpgrade:
-			e := h.entry(ev.Line)
-			h.invalidateOthers(e, int(ev.Core), ev.Line)
-			e.setOwner(int(ev.Core))
-		case EvInvalOthers:
-			e := h.entry(ev.Line)
-			h.invalidateOthers(e, int(ev.Core), ev.Line)
-		case EvEvict:
-			h.evictPrivate(int(ev.Core), ev.Line, ev.Dirty)
-		case EvRFO:
-			ownerCore := int(ev.Core)
-			h.l1[ownerCore].invalidate(ev.Line)
-			h.l2[ownerCore].invalidate(ev.Line)
-			h.dropCore(h.entry(ev.Line), ownerCore, true)
-			h.stats.Invalidations++
-		case EvDowngrade:
-			ownerCore := int(ev.Core)
-			h.entry(ev.Line).clearOwner()
-			h.fillL3(ownerCore/h.mach.CoresPerSocket, ev.Line, true)
-		case EvL3Refresh:
-			socket := int(ev.Core)
-			if !h.l3[socket].lookup(ev.Line) {
-				// The line was back-invalidated by an earlier merge event;
-				// restore it so the L3 ends the epoch holding what the
-				// worker-side decision assumed.
-				h.fillL3(socket, ev.Line, false)
+// before orders heap entries by (head vtime, thread id). Thread ids are
+// unique, so this is a total order.
+func (a *streamHead) before(b *streamHead) bool {
+	return a.vtime < b.vtime || (a.vtime == b.vtime && a.thread < b.thread)
+}
+
+// siftDown restores the min-heap property below index i.
+func siftDown(heap []streamHead, i int) {
+	x := heap[i]
+	for {
+		c := 2*i + 1
+		if c >= len(heap) {
+			break
+		}
+		if r := c + 1; r < len(heap) && heap[r].before(&heap[c]) {
+			c = r
+		}
+		if !heap[c].before(&x) {
+			break
+		}
+		heap[i] = heap[c]
+		i = c
+	}
+	heap[i] = x
+}
+
+// ApplyStreams applies one epoch's per-thread event streams to the live
+// hierarchy at the barrier, in canonical (vtime, thread, position) order,
+// then truncates every stream, keeping its capacity for the next epoch.
+//
+// Each stream is already in vtime order: its events come from the one
+// worker that owns the thread's core, and a thread's clock never
+// decreases inside an epoch. So a k-way merge keyed by (head vtime, thread
+// id) reproduces the canonical order without sorting: it pops the thread
+// whose next event comes first and applies that thread's events in place
+// until another thread's head comes first. The heap lives in a buffer on
+// the hierarchy, so a steady-state merge allocates nothing.
+func (h *Hierarchy) ApplyStreams(streams [][]Event) {
+	heap := h.mergeHeap[:0]
+	for t, st := range streams {
+		if len(st) > 0 {
+			heap = append(heap, streamHead{vtime: st[0].VTime, thread: t})
+		}
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		siftDown(heap, i)
+	}
+	for len(heap) > 1 {
+		// The top thread's events apply while they come before the next
+		// thread's head, the smaller child of the root.
+		top := &heap[0]
+		next := &heap[1]
+		if len(heap) > 2 && heap[2].before(next) {
+			next = &heap[2]
+		}
+		st := streams[top.thread]
+		for {
+			h.applyEvent(&st[top.pos])
+			top.pos++
+			if top.pos == len(st) {
+				break
 			}
-		case EvL3Fill:
-			h.fillL3(int(ev.Core), ev.Line, ev.Dirty)
-		case EvL3Inval:
-			h.l3[int(ev.Core)].invalidate(ev.Line)
-		case EvFillDir:
-			e := h.entry(ev.Line)
-			core := int(ev.Core)
-			e.sharers |= 1 << uint(core)
-			e.invalidated &^= 1 << uint(core)
-			e.evicted &^= 1 << uint(core)
-			if ev.Dirty {
-				e.setOwner(core)
+			top.vtime = st[top.pos].VTime
+			if !top.before(next) {
+				break
 			}
+		}
+		if top.pos == len(st) {
+			last := len(heap) - 1
+			heap[0] = heap[last]
+			heap = heap[:last]
+		}
+		siftDown(heap, 0)
+	}
+	if len(heap) == 1 {
+		st := streams[heap[0].thread]
+		for pos := heap[0].pos; pos < len(st); pos++ {
+			h.applyEvent(&st[pos])
+		}
+	}
+	h.mergeHeap = heap[:0]
+	for t := range streams {
+		streams[t] = streams[t][:0]
+	}
+}
+
+// applyEvent applies one deferred event to the live hierarchy, using the
+// same state-transition helpers as the sequential path. Invalidation
+// counting happens here, against the copies that actually existed at merge
+// time.
+func (h *Hierarchy) applyEvent(ev *Event) {
+	switch ev.Kind {
+	case EvUpgrade:
+		e := h.entry(ev.Line)
+		h.invalidateOthers(e, int(ev.Core), ev.Line)
+		e.setOwner(int(ev.Core))
+	case EvInvalOthers:
+		e := h.entry(ev.Line)
+		h.invalidateOthers(e, int(ev.Core), ev.Line)
+	case EvEvict:
+		h.evictPrivate(int(ev.Core), ev.Line, ev.Dirty)
+	case EvRFO:
+		ownerCore := int(ev.Core)
+		h.l1[ownerCore].invalidate(ev.Line)
+		h.l2[ownerCore].invalidate(ev.Line)
+		h.dropCore(h.entry(ev.Line), ownerCore, true)
+		h.stats.Invalidations++
+	case EvDowngrade:
+		ownerCore := int(ev.Core)
+		h.entry(ev.Line).clearOwner()
+		h.fillL3(ownerCore/h.mach.CoresPerSocket, ev.Line, true)
+	case EvL3Refresh:
+		socket := int(ev.Core)
+		if !h.l3[socket].lookup(ev.Line) {
+			// The line was back-invalidated by an earlier merge event;
+			// restore it so the L3 ends the epoch holding what the
+			// worker-side decision assumed.
+			h.fillL3(socket, ev.Line, false)
+		}
+	case EvL3Fill:
+		h.fillL3(int(ev.Core), ev.Line, ev.Dirty)
+	case EvL3Inval:
+		h.l3[int(ev.Core)].invalidate(ev.Line)
+	case EvFillDir:
+		e := h.entry(ev.Line)
+		core := int(ev.Core)
+		e.sharers |= 1 << uint(core)
+		e.invalidated &^= 1 << uint(core)
+		e.evicted &^= 1 << uint(core)
+		if ev.Dirty {
+			e.setOwner(core)
 		}
 	}
 }

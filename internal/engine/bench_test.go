@@ -34,6 +34,32 @@ func BenchmarkRun(b *testing.B) {
 	b.ReportMetric(float64(accesses), "sim-accesses/op")
 }
 
+// BenchmarkRunSharded is BenchmarkRun on the epoch-sharded engine with two
+// workers: worker simulation, the barrier merge of the per-thread cache
+// event streams, and deferred fault resolution all sit on the measured path.
+func BenchmarkRunSharded(b *testing.B) {
+	w, err := workloads.NewNPB("CG", 32, workloads.ClassTest)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var accesses uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := Run(Config{
+			Machine:  topology.DefaultXeon(),
+			Workload: w,
+			Policy:   &pinned{name: "bench"},
+			Seed:     1,
+			Shards:   2,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		accesses = m.Cache.Accesses
+	}
+	b.ReportMetric(float64(accesses), "sim-accesses/op")
+}
+
 // BenchmarkRunObserved is the obs-on counterpart of BenchmarkRun: the same
 // run with a fresh probe attached each iteration. Compare the two (and the
 // recorded BENCH_engine.json) to see the observability tax; the obs-off

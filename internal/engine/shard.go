@@ -6,13 +6,13 @@
 // per-thread stream and stall-injection state) and a frozen epoch-start
 // image of the shared state (cache directory, L3s, page table). Every
 // cross-shard effect is deferred: cache coherence actions become
-// cache.Events, page faults suspend the thread, stall tallies and counter
-// deltas accumulate per worker. At the barrier a single merge step applies
-// everything in canonical (virtual-time, thread, sequence) order, resolves
-// faults through the ordinary MMU path, emits buffered observability
-// events, fires the policy ticks the epoch crossed, and takes the registry
-// snapshots — all single-threaded, exactly like the sequential engine's
-// policy layer.
+// cache.Events appended to the issuing thread's stream, page faults suspend
+// the thread, stall tallies and counter deltas accumulate per worker. At
+// the barrier a single merge step applies everything in canonical
+// (virtual-time, thread, sequence) order, resolves faults through the
+// ordinary MMU path, emits buffered observability events, fires the policy
+// ticks the epoch crossed, and takes the registry snapshots — all
+// single-threaded, exactly like the sequential engine's policy layer.
 //
 // Worker-count invariance, by construction: a core (with its SMT siblings,
 // interleaved by minimum clock, ties to the lower thread id) is simulated
@@ -26,9 +26,10 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"spcd/internal/cache"
@@ -143,6 +144,11 @@ func runSharded(cfg Config) (Metrics, error) {
 		threads[t] = &shardThread{id: t, buf: make([]workloads.Access, cfg.BatchAccesses)}
 	}
 	stallers := inj.ThreadStallers(n)
+	// Per-thread cache event streams, merged at every barrier, and
+	// per-thread sequence numbers for the buffered obs events. A thread
+	// runs on exactly one worker per epoch, so workers touch disjoint
+	// indices of both.
+	streams := make([][]cache.Event, n)
 	seq := make([]uint64, n)
 
 	numCores := mach.NumCores()
@@ -152,7 +158,7 @@ func runSharded(cfg Config) (Metrics, error) {
 	}
 	workers := make([]*shardWorker, w)
 	for i := range workers {
-		workers[i] = &shardWorker{id: i, cacheSh: caches.NewShard(seq), vmSh: as.NewShard()}
+		workers[i] = &shardWorker{id: i, cacheSh: caches.NewShard(streams), vmSh: as.NewShard()}
 	}
 
 	compute := uint64(cfg.Workload.ComputeCyclesPerAccess())
@@ -241,7 +247,6 @@ func runSharded(cfg Config) (Metrics, error) {
 	epoch := cfg.TickIntervalCycles
 	epochEnd := epoch
 	coreThreads := make([][]*shardThread, numCores)
-	var mergedEvents []cache.Event
 	var mergedObs []engObsEvent
 	var faulted []*shardThread
 
@@ -316,13 +321,9 @@ func runSharded(cfg Config) (Metrics, error) {
 		}
 
 		// Barrier merge, single-threaded from here on.
-		// 1. Cache coherence effects in canonical order.
-		mergedEvents = mergedEvents[:0]
-		for _, wk := range workers {
-			mergedEvents = append(mergedEvents, wk.cacheSh.DrainEvents()...)
-		}
-		cache.SortEvents(mergedEvents)
-		caches.ApplyEvents(mergedEvents)
+		// 1. Cache coherence effects in canonical order: a k-way merge of
+		// the per-thread streams, each already in vtime order.
+		caches.ApplyStreams(streams)
 
 		// 2. Counter deltas (order-independent sums).
 		for _, wk := range workers {
@@ -340,16 +341,7 @@ func runSharded(cfg Config) (Metrics, error) {
 				mergedObs = append(mergedObs, wk.obsBuf...)
 				wk.obsBuf = wk.obsBuf[:0]
 			}
-			sort.Slice(mergedObs, func(i, j int) bool {
-				a, b := &mergedObs[i], &mergedObs[j]
-				if a.vtime != b.vtime {
-					return a.vtime < b.vtime
-				}
-				if a.thread != b.thread {
-					return a.thread < b.thread
-				}
-				return a.seq < b.seq
-			})
+			slices.SortFunc(mergedObs, compareObsEvents)
 			for i := range mergedObs {
 				ev := &mergedObs[i]
 				switch ev.kind {
@@ -378,13 +370,7 @@ func runSharded(cfg Config) (Metrics, error) {
 				faulted = append(faulted, th)
 			}
 		}
-		sort.Slice(faulted, func(i, j int) bool {
-			a, b := faulted[i], faulted[j]
-			if a.pendVTime != b.pendVTime {
-				return a.pendVTime < b.pendVTime
-			}
-			return a.id < b.id
-		})
+		slices.SortFunc(faulted, compareFaults)
 		for _, th := range faulted {
 			tr := as.Access(th.id, th.pendCtx, th.pendAddr, th.pendWrite, th.pendVTime)
 			th.clock += uint64(tr.Cycles)
@@ -507,6 +493,27 @@ func runSharded(cfg Config) (Metrics, error) {
 	rt.SetMeta("mode", "epoch-sharded")
 	rt.SetMetaInt("shards", int64(w))
 	return m, nil
+}
+
+// compareObsEvents orders buffered engine trace events canonically by
+// (vtime, thread, seq), a total order: seq is unique per thread.
+func compareObsEvents(a, b engObsEvent) int {
+	if c := cmp.Compare(a.vtime, b.vtime); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.thread, b.thread); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// compareFaults orders suspended threads by (fault vtime, thread id), a
+// total order: thread ids are unique.
+func compareFaults(a, b *shardThread) int {
+	if c := cmp.Compare(a.pendVTime, b.pendVTime); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
 }
 
 // simulateCore advances one core's threads to the epoch boundary. SMT
