@@ -22,7 +22,7 @@ func TestZeroFaultPlanMatchesBaseline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		faulted, err := spcd.RunWithFaults(mach, w, pol, 42, spcd.DefaultFaultPlan(7, 0), nil)
+		faulted, err := spcd.Run(mach, w, pol, 42, spcd.RunOptions{Faults: spcd.DefaultFaultPlan(7, 0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,11 +42,11 @@ func TestChaosRunsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := spcd.RunWithFaults(mach, w, "spcd", 42, plan, nil)
+	a, err := spcd.Run(mach, w, "spcd", 42, spcd.RunOptions{Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := spcd.RunWithFaults(mach, w, "spcd", 42, plan, nil)
+	b, err := spcd.Run(mach, w, "spcd", 42, spcd.RunOptions{Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestFullMigrationFailureFallsBackToOS(t *testing.T) {
 	}
 	plan := spcd.FaultPlan{Seed: 5, MigrateFailRate: 1, RemapDelayRate: 1}
 	pr := spcd.NewProbe(spcd.ObsOptions{})
-	m, err := spcd.RunWithFaults(mach, w, "spcd", 42, plan, pr)
+	m, err := spcd.Run(mach, w, "spcd", 42, spcd.RunOptions{Faults: plan, Probe: pr})
 	if err != nil {
 		t.Fatal(err)
 	}

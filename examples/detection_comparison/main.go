@@ -38,11 +38,7 @@ func main() {
 	var matrices []*spcd.CommMatrix
 	var labels []string
 	for _, name := range []string{"spcd", "tlb", "hwc"} {
-		p, err := spcd.NewPolicy(name, w, mach)
-		if err != nil {
-			log.Fatal(err)
-		}
-		m, err := spcd.RunWithPolicy(mach, w, p, 1)
+		m, err := spcd.Run(mach, w, name, 1)
 		if err != nil {
 			log.Fatal(err)
 		}

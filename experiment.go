@@ -106,14 +106,6 @@ type Experiment struct {
 	Runtime *RuntimeCollector
 }
 
-// WithFaults returns a copy of the experiment that runs every simulation
-// under the given fault plan. See FaultPlan and internal/faultinject for the
-// determinism contract.
-func (e Experiment) WithFaults(plan FaultPlan) Experiment {
-	e.Faults = &plan
-	return e
-}
-
 // Results holds all runs of an experiment, indexed by policy.
 type Results struct {
 	Workload string
@@ -179,14 +171,6 @@ func (e Experiment) Run() (*Results, error) {
 		res.ByPolicy[name] = ms
 	}
 	return res, nil
-}
-
-// RunParallel is Run with an explicit worker bound: workers <= 0 selects
-// GOMAXPROCS, 1 forces sequential execution. Results are identical for
-// every value — parallelism only changes wall-clock time.
-func (e Experiment) RunParallel(workers int) (*Results, error) {
-	e.Parallelism = workers
-	return e.Run()
 }
 
 // Policies returns the policy names in execution order.

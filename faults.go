@@ -1,10 +1,6 @@
 package spcd
 
-import (
-	"spcd/internal/engine"
-	"spcd/internal/faultinject"
-	"spcd/internal/policy"
-)
+import "spcd/internal/faultinject"
 
 // FaultPlan is a deterministic fault-injection plan (see
 // internal/faultinject): per-site rates derived from a seed and intensity,
@@ -28,24 +24,4 @@ func DefaultFaultPlan(seed int64, intensity float64) FaultPlan {
 // and CI run against: DefaultFaultPlan(seed, 0.5).
 func CanonicalFaultPlan(seed int64) FaultPlan {
 	return faultinject.CanonicalPlan(seed)
-}
-
-// RunWithFaults is Run with fault injection (and optional observability):
-// the plan's fault sites fire at deterministic virtual-time points derived
-// from (plan seed, run seed), the policies degrade rather than fail, and
-// every degradation decision lands in the probe's event trace when pr is
-// non-nil. An inactive plan makes this identical to RunObserved.
-func RunWithFaults(m *Machine, w Workload, policyName string, seed int64, plan FaultPlan, pr *Probe) (Metrics, error) {
-	p, err := policy.Tuned(policyName, w, m)
-	if err != nil {
-		return Metrics{}, err
-	}
-	return engine.Run(engine.Config{
-		Machine:  m,
-		Workload: w,
-		Policy:   p,
-		Seed:     seed,
-		Probe:    pr,
-		Injector: faultinject.NewInjector(plan, seed),
-	})
 }

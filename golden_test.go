@@ -102,7 +102,7 @@ func TestGoldenMetrics(t *testing.T) {
 			// Observability must be read-only: the same run with a probe
 			// attached has to reproduce the pinned metrics bit for bit.
 			pr := spcd.NewProbe(spcd.ObsOptions{})
-			mObs, err := spcd.RunObserved(mach, w, policy, goldenSeed, pr)
+			mObs, err := spcd.Run(mach, w, policy, goldenSeed, spcd.RunOptions{Probe: pr})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -165,10 +165,11 @@ func isEntryNode(n *Node) bool {
 	case "spcd":
 		return recv == nil && strings.HasPrefix(name, "Run")
 	case "spcd/internal/engine":
-		// runSharded and simulateCore are entry points in their own right
-		// (not just via Run) so the epoch-sharded worker bodies stay covered
-		// even if a refactor detaches them from the public dispatch.
-		return name == "Run" || name == "runSharded" || name == "simulateCore"
+		// Both access loops and the shard worker body are entry points in
+		// their own right (not just via Run), so they stay covered even if
+		// a refactor detaches them from the dispatch. Renaming one drops it
+		// from this set; TestEngineLoopsAreEntryPoints catches that.
+		return name == "Run" || name == "minClockLoop" || name == "epochLoop" || name == "simulateCore"
 	case "spcd/internal/sweep":
 		return recv != nil && name == "Run"
 	case "spcd/internal/scenario":

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -122,6 +123,38 @@ func edgeTo(n *Node, suffix string, kind EdgeKind) bool {
 		}
 	}
 	return false
+}
+
+// TestEngineLoopsAreEntryPoints: determinism-flow matches the engine's
+// entry points by name, so renaming an access loop would silently drop it
+// from the rule. Both loops and the shard worker body must exist in the
+// real engine package, and each must be an entry point.
+func TestEngineLoopsAreEntryPoints(t *testing.T) {
+	root := repoRoot(t)
+	loader, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := loader.Load(filepath.Join(root, "internal", "engine"), "spcd/internal/engine")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"minClockLoop", "epochLoop", "simulateCore"}
+	found := make(map[string]bool, len(names))
+	for _, n := range NewModule(root, []*Package{pkg}).Graph.Nodes {
+		if n.Fn == nil || n.Pkg != pkg || !slices.Contains(names, n.Fn.Name()) {
+			continue
+		}
+		found[n.Fn.Name()] = true
+		if !isEntryNode(n) {
+			t.Errorf("%s is not a determinism-flow entry point", n.Name)
+		}
+	}
+	for _, name := range names {
+		if !found[name] {
+			t.Errorf("internal/engine has no function %s; update isEntryNode and this test together", name)
+		}
+	}
 }
 
 func TestCallGraphBuilder(t *testing.T) {

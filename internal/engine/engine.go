@@ -12,6 +12,11 @@
 // kernels being modeled — while letting badly-placed threads fall behind
 // and finish later, which is exactly how placement quality becomes
 // execution time.
+//
+// One run skeleton (Run) serves two access loops: the sequential min-clock
+// loop and the epoch-sharded loop (shard.go). Setup, the serial-init phase,
+// the policy tick catch-up, registry snapshots and the metrics finalize are
+// shared; only the loop differs.
 package engine
 
 import (
@@ -162,6 +167,7 @@ func (c *Config) normalize() error {
 		p := energy.DefaultParams()
 		c.EnergyParams = &p
 	}
+	c.Shards = min(c.Shards, c.Machine.NumCores())
 	return c.EnergyParams.Validate()
 }
 
@@ -208,20 +214,21 @@ func (m Metrics) String() string {
 		m.Cache.C2CTotal(), m.Energy.ProcessorJoules, m.Energy.DRAMJoules, m.Migrations)
 }
 
-// threadState is one application thread.
-type threadState struct {
+// thread is one application thread's scheduling state, shared by both
+// access loops (the sharded engine embeds it in shardThread).
+type thread struct {
 	id    int
 	clock uint64
 	done  bool
 }
 
 // clockHeap orders runnable threads by their cycle clock.
-type clockHeap []*threadState
+type clockHeap []*thread
 
 func (h clockHeap) Len() int            { return len(h) }
 func (h clockHeap) Less(i, j int) bool  { return h[i].clock < h[j].clock }
 func (h clockHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *clockHeap) Push(x interface{}) { *h = append(*h, x.(*threadState)) }
+func (h *clockHeap) Push(x interface{}) { *h = append(*h, x.(*thread)) }
 func (h *clockHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
@@ -230,205 +237,249 @@ func (h *clockHeap) Pop() interface{} {
 	return x
 }
 
-// Run executes one simulation and returns its metrics.
+// sim is one run's state. Both access loops run on it; everything else —
+// setup, the serial-init phase, the policy tick catch-up, registry
+// snapshots and the metrics finalize — exists once, here.
+type sim struct {
+	cfg      *Config
+	mach     *topology.Machine
+	n        int
+	as       *vm.AddressSpace
+	caches   *cache.Hierarchy
+	run      workloads.Run
+	inj      *faultinject.Injector
+	probe    *obs.Probe
+	affinity []int
+	// affScratch is reused by every affinity validation (one per migration
+	// tick); allocating a map there showed up in migration-heavy profiles.
+	affScratch []bool
+	threads    []*thread
+
+	compute   uint64
+	pageShift uint
+	pageMask  uint64
+
+	instructions uint64
+	migrations   int
+	movedThreads int
+	nextTick     uint64
+	// sdStalls is the reusable per-core buffer for draining shootdown
+	// remote stalls.
+	sdStalls []uint64
+
+	// nextSample is the next registry-snapshot boundary; the MaxUint64
+	// sentinel makes the disabled path a single always-false comparison.
+	nextSample     uint64
+	sampleInterval uint64
+	movedHist      *obs.Histogram
+}
+
+// Run executes one simulation and returns its metrics. cfg.Shards selects
+// the access loop: the sequential min-clock loop (0) or the epoch-sharded
+// loop (>= 1). Everything around the loop is shared.
 func Run(cfg Config) (Metrics, error) {
 	if err := cfg.normalize(); err != nil {
 		return Metrics{}, err
 	}
-	if cfg.Shards > 0 {
-		return runSharded(cfg)
-	}
-	// Host-time spans: the sequential engine records run-level phases only
-	// (init / simulate / finalize), keeping the golden-pinned access loop
-	// untouched. All stamps are taken outside the loop.
+	// Host-time spans (see internal/runtimeobs): run-level init / finalize
+	// on the run lane for both engines, all taken outside the access loops.
+	// Strictly one-way — stamps go in, no host time comes back — so results
+	// are byte-identical with rt nil or attached.
 	rt := cfg.Runtime
-	rtLane := rt.Lane("run")
+	rtRun := rt.Lane("run")
 	tStart := rt.Now()
+	s, err := newSim(&cfg)
+	if err != nil {
+		return Metrics{}, err
+	}
+	tLoop := rt.Now()
+	rtRun.SpanAt(runtimeobs.SpanInit, tStart, tLoop, -1, -1)
+
+	if cfg.Shards > 0 {
+		err = s.epochLoop()
+	} else {
+		err = s.minClockLoop()
+	}
+	if err != nil {
+		return Metrics{}, err
+	}
+	// Thread clocks never decrease, so the run ends at the largest final
+	// clock.
+	var execCycles uint64
+	for _, th := range s.threads {
+		execCycles = max(execCycles, th.clock)
+	}
+	s.probe.Snapshot(execCycles)
+	tFin := rt.Now()
+	if cfg.Shards == 0 {
+		// The sharded loop records per-worker simulate spans instead; a
+		// run-lane span on top would be counted into its simulate time.
+		rtRun.SpanAt(runtimeobs.SpanSimulate, tLoop, tFin, -1, -1)
+	}
+
+	m := s.metrics(execCycles)
+	tEnd := rt.Now()
+	rtRun.SpanAt(runtimeobs.SpanFinalize, tFin, tEnd, -1, -1)
+	rtRun.SpanAt(runtimeobs.SpanRun, tStart, tEnd, -1, -1)
+	rt.SetMeta("kind", "engine")
+	if cfg.Shards > 0 {
+		rt.SetMeta("mode", "epoch-sharded")
+		rt.SetMetaInt("shards", int64(cfg.Shards))
+	} else {
+		rt.SetMeta("mode", "sequential")
+	}
+	return m, nil
+}
+
+// newSim builds a run's state: address space, caches, injector and sharer
+// wiring, probe registration, Policy.Init, the initial affinity, the engine
+// counters, and the serial-init phase. cfg must be normalized.
+func newSim(cfg *Config) (*sim, error) {
 	mach := cfg.Machine
 	n := cfg.Workload.NumThreads()
+	s := &sim{cfg: cfg, mach: mach, n: n,
+		as:     vm.NewAddressSpace(mach),
+		caches: cache.New(mach),
+		run:    cfg.Workload.NewRun(cfg.Seed),
+		inj:    cfg.Injector,
+		probe:  cfg.Probe,
 
-	as := vm.NewAddressSpace(mach)
+		compute:    uint64(cfg.Workload.ComputeCyclesPerAccess()),
+		nextTick:   cfg.TickIntervalCycles,
+		nextSample: math.MaxUint64,
+	}
+	as, caches, probe := s.as, s.caches, s.probe
 	as.SetAllocPolicy(cfg.AllocPolicy)
-	caches := cache.New(mach)
-	run := cfg.Workload.NewRun(cfg.Seed)
-	inj := cfg.Injector
-	as.SetInjector(inj)
+	as.SetInjector(s.inj)
 	// The cache directory supplies the shootdown sharer sets; under
-	// ShootdownNone the MMU never consults it.
+	// ShootdownNone the MMU never consults it. Shootdowns only happen in
+	// policy ticks, where (in the sharded engine too) the directory is
+	// merged and quiescent.
 	as.SetSharerSource(caches)
+	s.pageShift = as.PageShift()
+	s.pageMask = uint64(mach.PageSize - 1)
 
 	// Observability wiring happens before Policy.Init so a policy that
 	// implements obs.Observer can register its own metrics and emit events
 	// from the very first tick. Everything here is off the access path: the
 	// registry reads subsystem counters through closures at snapshot time.
-	probe := cfg.Probe
 	if probe != nil {
 		probe.SetDefaultClockHz(mach.ClockHz)
 		as.RegisterObs(probe)
 		caches.RegisterObs(probe)
-		inj.RegisterObs(probe)
+		s.inj.RegisterObs(probe)
 		if o, ok := cfg.Policy.(obs.Observer); ok {
 			o.SetProbe(probe)
 		}
 	}
 
 	env := &Env{Machine: mach, AS: as, Caches: caches, Workload: cfg.Workload,
-		Seed: cfg.Seed, NumThreads: n, Injector: inj}
+		Seed: cfg.Seed, NumThreads: n, Injector: s.inj}
 	if err := cfg.Policy.Init(env); err != nil {
-		return Metrics{}, err
+		return nil, err
 	}
-	affinity := append([]int(nil), cfg.Policy.InitialAffinity()...)
-	// affScratch is reused by every affinity validation (one per migration
-	// tick); allocating a map there showed up in migration-heavy profiles.
-	affScratch := make([]bool, mach.NumContexts())
-	if err := checkAffinity(affinity, n, mach.NumContexts(), affScratch); err != nil {
-		return Metrics{}, err
+	s.affinity = append([]int(nil), cfg.Policy.InitialAffinity()...)
+	s.affScratch = make([]bool, mach.NumContexts())
+	if err := checkAffinity(s.affinity, n, mach.NumContexts(), s.affScratch); err != nil {
+		return nil, err
+	}
+	s.threads = make([]*thread, n)
+	for t := range s.threads {
+		s.threads[t] = &thread{id: t}
 	}
 
-	threads := make([]*threadState, n)
-	h := make(clockHeap, 0, n)
-	for t := 0; t < n; t++ {
-		threads[t] = &threadState{id: t}
-		h = append(h, threads[t])
-	}
-	heap.Init(&h)
-
-	buf := make([]workloads.Access, cfg.BatchAccesses)
-	compute := uint64(cfg.Workload.ComputeCyclesPerAccess())
-	var instructions uint64
-	var execCycles uint64
-	migrations, movedThreads := 0, 0
-	nextTick := cfg.TickIntervalCycles
-	// Reusable per-core buffer for draining shootdown remote stalls.
-	var sdStalls []uint64
-
-	// nextSample is the next registry-snapshot boundary; the MaxUint64
-	// sentinel makes the disabled path a single always-false comparison in
-	// the scheduling loop (no pointer chase, no branch on probe).
-	nextSample := uint64(math.MaxUint64)
-	var sampleInterval uint64
-	var movedHist *obs.Histogram
 	if probe != nil {
 		reg := probe.Registry()
-		reg.CounterFunc("engine.instructions", func() uint64 { return instructions })
-		reg.CounterFunc("engine.migrations", func() uint64 { return uint64(migrations) })
-		reg.CounterFunc("engine.migrated_threads", func() uint64 { return uint64(movedThreads) })
-		movedHist = reg.Histogram("engine.moved_per_remap", []float64{1, 2, 4, 8, 16})
-		sampleInterval = probe.SampleIntervalCycles()
-		if sampleInterval == 0 {
+		reg.CounterFunc("engine.instructions", func() uint64 { return s.instructions })
+		reg.CounterFunc("engine.migrations", func() uint64 { return uint64(s.migrations) })
+		reg.CounterFunc("engine.migrated_threads", func() uint64 { return uint64(s.movedThreads) })
+		s.movedHist = reg.Histogram("engine.moved_per_remap", []float64{1, 2, 4, 8, 16})
+		s.sampleInterval = probe.SampleIntervalCycles()
+		if s.sampleInterval == 0 {
 			// ~256 rows per run regardless of workload class.
-			sampleInterval = workloads.NominalCycles(cfg.Workload) / 256
-			if sampleInterval == 0 {
-				sampleInterval = 1
+			s.sampleInterval = workloads.NominalCycles(cfg.Workload) / 256
+			if s.sampleInterval == 0 {
+				s.sampleInterval = 1
 			}
 		}
-		nextSample = sampleInterval
+		s.nextSample = s.sampleInterval
 		probe.Snapshot(0)
 	}
+	s.serialInit()
+	return s, nil
+}
 
-	// Serial initialization phase: the master thread (thread 0) touches
-	// the data set, homing pages by first touch, before the parallel
-	// threads start (implicit barrier).
-	pageShift := as.PageShift()
-	pageMask := uint64(mach.PageSize - 1)
-	if init, ok := run.(workloads.Initializer); ok {
-		clock := uint64(0)
-		ibuf := make([]workloads.InitAccess, cfg.BatchAccesses)
-		for {
-			k := init.NextInit(ibuf)
-			if k == 0 {
-				break
-			}
-			for _, a := range ibuf[:k] {
-				ctx := affinity[a.Thread%n]
-				// Fused fast path; see the main loop for the contract.
-				frame, node, hit := as.AccessFast(ctx, a.Addr)
-				if !hit {
-					tr := as.Access(a.Thread%n, ctx, a.Addr, a.Write, clock)
-					frame, node = tr.Frame, tr.Node
-					clock += uint64(tr.Cycles)
-				}
-				phys := uint64(frame)<<pageShift | (a.Addr & pageMask)
-				if cyc, ok := caches.AccessFast(ctx, phys, a.Write); ok {
-					clock += compute + uint64(cyc)
-				} else {
-					res := caches.Access(ctx, phys, a.Write, node)
-					clock += compute + uint64(res.Cycles)
-				}
-			}
-			instructions += uint64(k) * (1 + compute)
-		}
-		for _, th := range threads {
-			th.clock = clock
-		}
-		if probe != nil {
-			probe.Emit(clock, "engine", "init.done", -1, obs.Uint("cycles", clock))
-		}
+// serialInit runs the serial initialization phase: the master thread
+// (thread 0) touches the data set, homing pages by first touch, before the
+// parallel threads start (implicit barrier). It runs against the live
+// state in both engines.
+func (s *sim) serialInit() {
+	init, ok := s.run.(workloads.Initializer)
+	if !ok {
+		return
 	}
-	tSim := rt.Now()
-	rtLane.SpanAt(runtimeobs.SpanInit, tStart, tSim, -1, -1)
+	as, caches, affinity, n := s.as, s.caches, s.affinity, s.n
+	compute, pageShift, pageMask := s.compute, s.pageShift, s.pageMask
+	clock := uint64(0)
+	ibuf := make([]workloads.InitAccess, s.cfg.BatchAccesses)
+	for {
+		k := init.NextInit(ibuf)
+		if k == 0 {
+			break
+		}
+		for _, a := range ibuf[:k] {
+			ctx := affinity[a.Thread%n]
+			// Fused fast path; see minClockLoop for the contract.
+			frame, node, hit := as.AccessFast(ctx, a.Addr)
+			if !hit {
+				tr := as.Access(a.Thread%n, ctx, a.Addr, a.Write, clock)
+				frame, node = tr.Frame, tr.Node
+				clock += uint64(tr.Cycles)
+			}
+			phys := uint64(frame)<<pageShift | (a.Addr & pageMask)
+			if cyc, ok := caches.AccessFast(ctx, phys, a.Write); ok {
+				clock += compute + uint64(cyc)
+			} else {
+				res := caches.Access(ctx, phys, a.Write, node)
+				clock += compute + uint64(res.Cycles)
+			}
+		}
+		s.instructions += uint64(k) * (1 + compute)
+	}
+	for _, th := range s.threads {
+		th.clock = clock
+	}
+	if s.probe != nil {
+		s.probe.Emit(clock, "engine", "init.done", -1, obs.Uint("cycles", clock))
+	}
+}
+
+// minClockLoop is the sequential engine: it always advances the thread
+// whose clock is lowest, so every coherence and page-table effect lands
+// instantly, in global virtual-time order.
+func (s *sim) minClockLoop() error {
+	// Hot state lives in locals for the whole loop.
+	as, caches, run, inj, probe := s.as, s.caches, s.run, s.inj, s.probe
+	affinity := s.affinity
+	compute, pageShift, pageMask := s.compute, s.pageShift, s.pageMask
+	nextTick, nextSample := s.nextTick, s.nextSample
+	buf := make([]workloads.Access, s.cfg.BatchAccesses)
+	h := append(make(clockHeap, 0, len(s.threads)), s.threads...)
+	heap.Init(&h)
 
 	for h.Len() > 0 {
 		th := h[0]
 		now := th.clock
-		if now > execCycles {
-			execCycles = now
-		}
 
 		// Policy tick (sampler wakeups, matrix evaluation, migrations).
 		if now >= nextTick {
-			clocksMoved := false
-			for now >= nextTick {
-				if newAff := cfg.Policy.Tick(nextTick); newAff != nil {
-					if err := checkAffinity(newAff, n, mach.NumContexts(), affScratch); err != nil {
-						return Metrics{}, fmt.Errorf("engine: policy %s: %w", cfg.Policy.Name(), err)
-					}
-					moved := 0
-					for t := 0; t < n; t++ {
-						if newAff[t] != affinity[t] {
-							moved++
-							threads[t].clock += cfg.MigrationCostCycles
-							if probe != nil {
-								probe.Emit(nextTick, "engine", "migrate", t,
-									obs.Uint("from_ctx", uint64(affinity[t])),
-									obs.Uint("to_ctx", uint64(newAff[t])))
-							}
-						}
-					}
-					if moved > 0 {
-						migrations++
-						movedThreads += moved
-						clocksMoved = true
-						if probe != nil {
-							probe.Emit(nextTick, "engine", "remap", -1, obs.Uint("moved", uint64(moved)))
-							movedHist.Observe(float64(moved))
-						}
-					}
-					copy(affinity, newAff)
-				}
-				nextTick += cfg.TickIntervalCycles
+			clocksMoved, err := s.tick(now)
+			if err != nil {
+				return err
 			}
-			// Remote TLB-invalidate stalls from any shootdowns the ticks
-			// issued: each affected core's cycles land on the threads placed
-			// there, in thread order. All shootdown sources run inside
-			// Policy.Tick, so this drain is the only place the charge can
-			// appear — single-threaded here and at the sharded barrier alike.
-			if stalls, any := as.DrainRemoteStalls(sdStalls); any {
-				sdStalls = stalls
-				for t := 0; t < n; t++ {
-					if threads[t].done {
-						continue
-					}
-					if sc := stalls[mach.CoreOf(affinity[t])]; sc > 0 {
-						threads[t].clock += sc
-						clocksMoved = true
-					}
-				}
-			} else {
-				sdStalls = stalls
-			}
-			// Re-heapify only when a migration charged cycles: on a quiet
-			// tick h is still a valid heap and heap.Init would be a
+			nextTick = s.nextTick
+			// Re-heapify only when a migration or stall charged cycles: on a
+			// quiet tick h is still a valid heap and heap.Init would be a
 			// structural no-op (sift-down never swaps on ties), so skipping
 			// it cannot change the scheduling order.
 			if clocksMoved {
@@ -438,10 +489,9 @@ func Run(cfg Config) (Metrics, error) {
 		}
 
 		// Registry snapshot boundaries (off when nextSample is the sentinel).
-		// Boundary-timestamped so same-seed runs sample at identical instants.
-		for nextSample <= now {
-			probe.Snapshot(nextSample)
-			nextSample += sampleInterval
+		if nextSample <= now {
+			s.snapshot(now)
+			nextSample = s.nextSample
 		}
 
 		// Injected thread stall: the thread loses its slice to modeled
@@ -493,41 +543,103 @@ func Run(cfg Config) (Metrics, error) {
 				clock += compute + uint64(res.Cycles)
 			}
 		}
-		instructions += uint64(k) * (1 + compute)
+		s.instructions += uint64(k) * (1 + compute)
 		th.clock = clock
 		heap.Fix(&h, 0)
 	}
+	return nil
+}
 
-	for _, th := range threads {
-		if th.clock > execCycles {
-			execCycles = th.clock
+// tick fires every policy tick due at or before until, in boundary order:
+// each new affinity is validated, every moved thread is charged
+// MigrationCostCycles, and migrate/remap events are emitted. It then drains
+// the remote stalls of any shootdowns the ticks issued. It reports whether
+// any thread clock moved.
+func (s *sim) tick(until uint64) (bool, error) {
+	pol, probe := s.cfg.Policy, s.probe
+	clocksMoved := false
+	for s.nextTick <= until {
+		if newAff := pol.Tick(s.nextTick); newAff != nil {
+			if err := checkAffinity(newAff, s.n, s.mach.NumContexts(), s.affScratch); err != nil {
+				return false, fmt.Errorf("engine: policy %s: %w", pol.Name(), err)
+			}
+			moved := 0
+			for t, ctx := range newAff {
+				if ctx != s.affinity[t] {
+					moved++
+					s.threads[t].clock += s.cfg.MigrationCostCycles
+					if probe != nil {
+						probe.Emit(s.nextTick, "engine", "migrate", t,
+							obs.Uint("from_ctx", uint64(s.affinity[t])),
+							obs.Uint("to_ctx", uint64(ctx)))
+					}
+				}
+			}
+			if moved > 0 {
+				s.migrations++
+				s.movedThreads += moved
+				clocksMoved = true
+				if probe != nil {
+					probe.Emit(s.nextTick, "engine", "remap", -1, obs.Uint("moved", uint64(moved)))
+					s.movedHist.Observe(float64(moved))
+				}
+			}
+			copy(s.affinity, newAff)
+		}
+		s.nextTick += s.cfg.TickIntervalCycles
+	}
+	// Remote TLB-invalidate stalls: each affected core's cycles land on the
+	// live threads placed there, in thread order, against the post-tick
+	// affinity. All shootdown sources run inside Policy.Tick, so this drain
+	// is the only place the charge can appear, single-threaded in both
+	// engines and so byte-identical at every shard count.
+	stalls, any := s.as.DrainRemoteStalls(s.sdStalls)
+	s.sdStalls = stalls
+	if any {
+		for t, th := range s.threads {
+			if th.done {
+				continue
+			}
+			if sc := stalls[s.mach.CoreOf(s.affinity[t])]; sc > 0 {
+				th.clock += sc
+				clocksMoved = true
+			}
 		}
 	}
-	if probe != nil {
-		probe.Snapshot(execCycles)
-	}
-	tFin := rt.Now()
-	rtLane.SpanAt(runtimeobs.SpanSimulate, tSim, tFin, -1, -1)
+	return clocksMoved, nil
+}
 
+// snapshot takes the registry snapshots at every boundary up to until.
+// Boundary-timestamped so same-seed runs sample at identical instants.
+func (s *sim) snapshot(until uint64) {
+	for s.nextSample <= until {
+		s.probe.Snapshot(s.nextSample)
+		s.nextSample += s.sampleInterval
+	}
+}
+
+// metrics assembles the run's Metrics once the loop has finished.
+func (s *sim) metrics(execCycles uint64) Metrics {
+	cfg := s.cfg
 	m := Metrics{
 		Policy:          cfg.Policy.Name(),
 		Workload:        cfg.Workload.Name(),
 		Seed:            cfg.Seed,
 		ExecCycles:      execCycles,
-		ExecSeconds:     mach.CyclesToSeconds(execCycles),
-		Instructions:    instructions,
-		Cache:           caches.Stats(),
-		VM:              as.Stats(),
-		Migrations:      migrations,
-		MigratedThreads: movedThreads,
+		ExecSeconds:     s.mach.CyclesToSeconds(execCycles),
+		Instructions:    s.instructions,
+		Cache:           s.caches.Stats(),
+		VM:              s.as.Stats(),
+		Migrations:      s.migrations,
+		MigratedThreads: s.movedThreads,
 		CommMatrix:      cfg.Policy.FinalMatrix(),
-		Shootdown:       as.ShootdownStats(),
+		Shootdown:       s.as.ShootdownStats(),
 	}
-	if instructions > 0 {
-		m.L2MPKI = float64(m.Cache.L2Misses) / float64(instructions) * 1000
-		m.L3MPKI = float64(m.Cache.L3Misses) / float64(instructions) * 1000
+	if s.instructions > 0 {
+		m.L2MPKI = float64(m.Cache.L2Misses) / float64(s.instructions) * 1000
+		m.L3MPKI = float64(m.Cache.L3Misses) / float64(s.instructions) * 1000
 	}
-	m.Energy = energy.Compute(*cfg.EnergyParams, mach, m.ExecSeconds, instructions, m.Cache)
+	m.Energy = energy.Compute(*cfg.EnergyParams, s.mach, m.ExecSeconds, s.instructions, m.Cache)
 
 	ov := cfg.Policy.Overheads()
 	// Induced page faults stall the application directly; their cost is
@@ -536,29 +648,21 @@ func Run(cfg Config) (Metrics, error) {
 	// clears are sampler activity (detection); remap shootdowns are charged
 	// inside the policy's migration accounting (MappingCycles), so only the
 	// clear-side initiator stall is added here.
-	inducedCycles := m.VM.InducedFaults * uint64(as.Costs().InducedFault)
-	totalCPU := float64(execCycles) * float64(n)
+	inducedCycles := m.VM.InducedFaults * uint64(s.as.Costs().InducedFault)
+	totalCPU := float64(execCycles) * float64(s.n)
 	if totalCPU > 0 {
 		m.DetectionOverheadPct = 100 * float64(ov.DetectionCycles+inducedCycles+m.Shootdown.ClearInitCycles) / totalCPU
 		m.MappingOverheadPct = 100 * float64(ov.MappingCycles) / totalCPU
 	}
-	tEnd := rt.Now()
-	rtLane.SpanAt(runtimeobs.SpanFinalize, tFin, tEnd, -1, -1)
-	rtLane.SpanAt(runtimeobs.SpanRun, tStart, tEnd, -1, -1)
-	rt.SetMeta("kind", "engine")
-	rt.SetMeta("mode", "sequential")
-	return m, nil
+	return m
 }
 
 // checkAffinity validates a thread->context placement. scratch must have
 // length contexts; it is cleared and reused so the per-migration validation
-// allocates nothing (callers without a scratch may pass nil to allocate).
+// allocates nothing.
 func checkAffinity(aff []int, n, contexts int, scratch []bool) error {
 	if len(aff) != n {
 		return fmt.Errorf("affinity covers %d threads, want %d", len(aff), n)
-	}
-	if scratch == nil {
-		scratch = make([]bool, contexts)
 	}
 	for i := range scratch {
 		scratch[i] = false

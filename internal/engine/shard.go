@@ -20,8 +20,8 @@
 // is either owned by it or frozen for the epoch; and the merge consumes
 // only canonically ordered, positionally seeded inputs. Sharded results
 // deliberately differ from the sequential engine's (coherence effects land
-// at epoch boundaries, not instantly — the bound-weave relaxation); the
-// sequential path stays the default and is bit-for-bit untouched.
+// at epoch boundaries, not instantly — the bound-weave relaxation). Both
+// engines share the run skeleton in engine.go; only this loop is specific.
 
 package engine
 
@@ -33,7 +33,6 @@ import (
 	"sync"
 
 	"spcd/internal/cache"
-	"spcd/internal/energy"
 	"spcd/internal/faultinject"
 	"spcd/internal/obs"
 	"spcd/internal/runtimeobs"
@@ -41,14 +40,11 @@ import (
 	"spcd/internal/workloads"
 )
 
-// shardThread is one application thread in the sharded engine. Unlike the
-// sequential engine's heap entries, each thread carries its own access
-// buffer (a suspended fault resumes mid-buffer) and its pending-fault
-// record.
+// shardThread is one application thread in the sharded engine: the shared
+// scheduling state plus its own access buffer (a suspended fault resumes
+// mid-buffer) and its pending-fault record.
 type shardThread struct {
-	id     int
-	clock  uint64
-	done   bool
+	thread
 	buf    []workloads.Access
 	bufLen int
 	bufPos int
@@ -91,59 +87,24 @@ type shardWorker struct {
 	obsBuf  []engObsEvent
 }
 
-// runSharded executes one simulation on the epoch-sharded engine with
-// cfg.Shards workers. cfg must be normalized.
-func runSharded(cfg Config) (Metrics, error) {
+// epochLoop is the epoch-sharded engine, run with s.cfg.Shards workers.
+func (s *sim) epochLoop() error {
 	// Host-time spans (see internal/runtimeobs): per-worker per-epoch
 	// simulate and barrier-wait, per-epoch merge/faults/tick on the barrier
-	// lane, run-level init/finalize. Strictly one-way — stamps go in, no
-	// host time comes back — so results are byte-identical with rt nil or
-	// attached.
-	rt := cfg.Runtime
-	rtRun := rt.Lane("run")
-	tStart := rt.Now()
-	mach := cfg.Machine
-	n := cfg.Workload.NumThreads()
+	// lane.
+	rt := s.cfg.Runtime
+	mach, as, caches, run, probe := s.mach, s.as, s.caches, s.run, s.probe
+	n, w, affinity := s.n, s.cfg.Shards, s.affinity
+	compute, pageShift, pageMask := s.compute, s.pageShift, s.pageMask
 
-	as := vm.NewAddressSpace(mach)
-	as.SetAllocPolicy(cfg.AllocPolicy)
-	caches := cache.New(mach)
-	run := cfg.Workload.NewRun(cfg.Seed)
-	inj := cfg.Injector
-	as.SetInjector(inj)
-	// The cache directory supplies the shootdown sharer sets; under
-	// ShootdownNone the MMU never consults it. Shootdowns only happen in
-	// barrier step 5 (policy ticks), where the directory is merged and
-	// quiescent, so the read is safe and shard-count-independent.
-	as.SetSharerSource(caches)
-
-	probe := cfg.Probe
-	if probe != nil {
-		probe.SetDefaultClockHz(mach.ClockHz)
-		as.RegisterObs(probe)
-		caches.RegisterObs(probe)
-		inj.RegisterObs(probe)
-		if o, ok := cfg.Policy.(obs.Observer); ok {
-			o.SetProbe(probe)
-		}
-	}
-
-	env := &Env{Machine: mach, AS: as, Caches: caches, Workload: cfg.Workload,
-		Seed: cfg.Seed, NumThreads: n, Injector: inj}
-	if err := cfg.Policy.Init(env); err != nil {
-		return Metrics{}, err
-	}
-	affinity := append([]int(nil), cfg.Policy.InitialAffinity()...)
-	affScratch := make([]bool, mach.NumContexts())
-	if err := checkAffinity(affinity, n, mach.NumContexts(), affScratch); err != nil {
-		return Metrics{}, err
-	}
-
+	// The sharded threads wrap the shared ones; s.threads is re-pointed at
+	// the embedded state so the shared tick charges the same clocks.
 	threads := make([]*shardThread, n)
-	for t := 0; t < n; t++ {
-		threads[t] = &shardThread{id: t, buf: make([]workloads.Access, cfg.BatchAccesses)}
+	for t := range threads {
+		threads[t] = &shardThread{thread: *s.threads[t], buf: make([]workloads.Access, s.cfg.BatchAccesses)}
+		s.threads[t] = &threads[t].thread
 	}
-	stallers := inj.ThreadStallers(n)
+	stallers := s.inj.ThreadStallers(n)
 	// Per-thread cache event streams, merged at every barrier, and
 	// per-thread sequence numbers for the buffered obs events. A thread
 	// runs on exactly one worker per epoch, so workers touch disjoint
@@ -152,84 +113,11 @@ func runSharded(cfg Config) (Metrics, error) {
 	seq := make([]uint64, n)
 
 	numCores := mach.NumCores()
-	w := cfg.Shards
-	if w > numCores {
-		w = numCores
-	}
 	workers := make([]*shardWorker, w)
 	for i := range workers {
 		workers[i] = &shardWorker{id: i, cacheSh: caches.NewShard(streams), vmSh: as.NewShard()}
 	}
 
-	compute := uint64(cfg.Workload.ComputeCyclesPerAccess())
-	var instructions uint64
-	var execCycles uint64
-	migrations, movedThreads := 0, 0
-	nextTick := cfg.TickIntervalCycles
-	// Reusable per-core buffer for draining shootdown remote stalls.
-	var sdStalls []uint64
-
-	nextSample := uint64(math.MaxUint64)
-	var sampleInterval uint64
-	var movedHist *obs.Histogram
-	if probe != nil {
-		reg := probe.Registry()
-		reg.CounterFunc("engine.instructions", func() uint64 { return instructions })
-		reg.CounterFunc("engine.migrations", func() uint64 { return uint64(migrations) })
-		reg.CounterFunc("engine.migrated_threads", func() uint64 { return uint64(movedThreads) })
-		movedHist = reg.Histogram("engine.moved_per_remap", []float64{1, 2, 4, 8, 16})
-		sampleInterval = probe.SampleIntervalCycles()
-		if sampleInterval == 0 {
-			sampleInterval = workloads.NominalCycles(cfg.Workload) / 256
-			if sampleInterval == 0 {
-				sampleInterval = 1
-			}
-		}
-		nextSample = sampleInterval
-		probe.Snapshot(0)
-	}
-
-	// Serial initialization phase, identical to the sequential engine: the
-	// master thread first-touches the data set before the epoch machinery
-	// starts, against the live (not yet shared) state.
-	pageShift := as.PageShift()
-	pageMask := uint64(mach.PageSize - 1)
-	if init, ok := run.(workloads.Initializer); ok {
-		clock := uint64(0)
-		ibuf := make([]workloads.InitAccess, cfg.BatchAccesses)
-		for {
-			k := init.NextInit(ibuf)
-			if k == 0 {
-				break
-			}
-			for _, a := range ibuf[:k] {
-				ctx := affinity[a.Thread%n]
-				frame, node, hit := as.AccessFast(ctx, a.Addr)
-				if !hit {
-					tr := as.Access(a.Thread%n, ctx, a.Addr, a.Write, clock)
-					frame, node = tr.Frame, tr.Node
-					clock += uint64(tr.Cycles)
-				}
-				phys := uint64(frame)<<pageShift | (a.Addr & pageMask)
-				if cyc, ok := caches.AccessFast(ctx, phys, a.Write); ok {
-					clock += compute + uint64(cyc)
-				} else {
-					res := caches.Access(ctx, phys, a.Write, node)
-					clock += compute + uint64(res.Cycles)
-				}
-			}
-			instructions += uint64(k) * (1 + compute)
-		}
-		for _, th := range threads {
-			th.clock = clock
-		}
-		if probe != nil {
-			probe.Emit(clock, "engine", "init.done", -1, obs.Uint("cycles", clock))
-		}
-	}
-
-	tLoop := rt.Now()
-	rtRun.SpanAt(runtimeobs.SpanInit, tStart, tLoop, -1, -1)
 	// Per-worker host lanes plus the single-threaded barrier lane. The
 	// slices are always allocated (w is small) so the disabled path stays
 	// branch-free; nil lanes make every SpanAt a no-op. Worker goroutines
@@ -244,7 +132,7 @@ func runSharded(cfg Config) (Metrics, error) {
 	workerWorked := make([]bool, w)
 	epochIdx := int64(-1)
 
-	epoch := cfg.TickIntervalCycles
+	epoch := s.cfg.TickIntervalCycles
 	epochEnd := epoch
 	coreThreads := make([][]*shardThread, numCores)
 	var mergedObs []engObsEvent
@@ -329,10 +217,10 @@ func runSharded(cfg Config) (Metrics, error) {
 		for _, wk := range workers {
 			wk.cacheSh.MergeStats()
 			wk.vmSh.MergeStats()
-			instructions += wk.instr
+			s.instructions += wk.instr
 			wk.instr = 0
 		}
-		inj.MergeThreadStalls(stallers)
+		s.inj.MergeThreadStalls(stallers)
 
 		// 3. Buffered engine trace events, canonically ordered.
 		if probe != nil {
@@ -383,61 +271,14 @@ func runSharded(cfg Config) (Metrics, error) {
 		tFaults := rt.Now()
 		rtBarrier.SpanAt(runtimeobs.SpanFaults, tMerge, tFaults, epochIdx, int64(len(faulted)))
 
-		// 5. Policy ticks the epoch crossed, in boundary order — the same
-		// catch-up loop as the sequential engine, including migration
-		// charging and remap accounting.
-		for nextTick <= epochEnd {
-			if newAff := cfg.Policy.Tick(nextTick); newAff != nil {
-				if err := checkAffinity(newAff, n, mach.NumContexts(), affScratch); err != nil {
-					return Metrics{}, fmt.Errorf("engine: policy %s: %w", cfg.Policy.Name(), err)
-				}
-				moved := 0
-				for t := 0; t < n; t++ {
-					if newAff[t] != affinity[t] {
-						moved++
-						threads[t].clock += cfg.MigrationCostCycles
-						if probe != nil {
-							probe.Emit(nextTick, "engine", "migrate", t,
-								obs.Uint("from_ctx", uint64(affinity[t])),
-								obs.Uint("to_ctx", uint64(newAff[t])))
-						}
-					}
-				}
-				if moved > 0 {
-					migrations++
-					movedThreads += moved
-					if probe != nil {
-						probe.Emit(nextTick, "engine", "remap", -1, obs.Uint("moved", uint64(moved)))
-						movedHist.Observe(float64(moved))
-					}
-				}
-				copy(affinity, newAff)
-			}
-			nextTick += cfg.TickIntervalCycles
-		}
-		// Remote TLB-invalidate stalls from any shootdowns the ticks issued,
-		// charged in thread order against the post-tick affinity — the same
-		// canonical drain as the sequential engine, still single-threaded,
-		// so the charge is byte-identical at every shard count.
-		if stalls, any := as.DrainRemoteStalls(sdStalls); any {
-			sdStalls = stalls
-			for t := 0; t < n; t++ {
-				if threads[t].done {
-					continue
-				}
-				if sc := stalls[mach.CoreOf(affinity[t])]; sc > 0 {
-					threads[t].clock += sc
-				}
-			}
-		} else {
-			sdStalls = stalls
+		// 5. Policy ticks the epoch crossed and the shootdown-stall drain,
+		// which runs every epoch whether or not a tick was due.
+		if _, err := s.tick(epochEnd); err != nil {
+			return err
 		}
 
 		// 6. Registry snapshots at the boundaries the epoch crossed.
-		for nextSample <= epochEnd {
-			probe.Snapshot(nextSample)
-			nextSample += sampleInterval
-		}
+		s.snapshot(epochEnd)
 		rtBarrier.SpanAt(runtimeobs.SpanPolicyTick, tFaults, rt.Now(), epochIdx, -1)
 
 		alive = 0
@@ -445,54 +286,10 @@ func runSharded(cfg Config) (Metrics, error) {
 			if !th.done {
 				alive++
 			}
-			if th.clock > execCycles {
-				execCycles = th.clock
-			}
 		}
 		epochEnd += epoch
 	}
-
-	if probe != nil {
-		probe.Snapshot(execCycles)
-	}
-	tDone := rt.Now()
-
-	m := Metrics{
-		Policy:          cfg.Policy.Name(),
-		Workload:        cfg.Workload.Name(),
-		Seed:            cfg.Seed,
-		ExecCycles:      execCycles,
-		ExecSeconds:     mach.CyclesToSeconds(execCycles),
-		Instructions:    instructions,
-		Cache:           caches.Stats(),
-		VM:              as.Stats(),
-		Migrations:      migrations,
-		MigratedThreads: movedThreads,
-		CommMatrix:      cfg.Policy.FinalMatrix(),
-		Shootdown:       as.ShootdownStats(),
-	}
-	if instructions > 0 {
-		m.L2MPKI = float64(m.Cache.L2Misses) / float64(instructions) * 1000
-		m.L3MPKI = float64(m.Cache.L3Misses) / float64(instructions) * 1000
-	}
-	m.Energy = energy.Compute(*cfg.EnergyParams, mach, m.ExecSeconds, instructions, m.Cache)
-
-	ov := cfg.Policy.Overheads()
-	// Same overhead split as the sequential engine: clear-side shootdown
-	// initiator stall joins detection, remap-side is inside MappingCycles.
-	inducedCycles := m.VM.InducedFaults * uint64(as.Costs().InducedFault)
-	totalCPU := float64(execCycles) * float64(n)
-	if totalCPU > 0 {
-		m.DetectionOverheadPct = 100 * float64(ov.DetectionCycles+inducedCycles+m.Shootdown.ClearInitCycles) / totalCPU
-		m.MappingOverheadPct = 100 * float64(ov.MappingCycles) / totalCPU
-	}
-	tEnd := rt.Now()
-	rtRun.SpanAt(runtimeobs.SpanFinalize, tDone, tEnd, -1, -1)
-	rtRun.SpanAt(runtimeobs.SpanRun, tStart, tEnd, -1, -1)
-	rt.SetMeta("kind", "engine")
-	rt.SetMeta("mode", "epoch-sharded")
-	rt.SetMetaInt("shards", int64(w))
-	return m, nil
+	return nil
 }
 
 // compareObsEvents orders buffered engine trace events canonically by

@@ -107,7 +107,7 @@ func TestGovernorFallback(t *testing.T) {
 	if !g.fellBack {
 		t.Error("governor did not fall back after consecutive deferrals")
 	}
-	if a, _, _ := g.propose(now + 1<<20, cur, target); a != nil {
+	if a, _, _ := g.propose(now+1<<20, cur, target); a != nil {
 		t.Error("fallen-back governor still applies remaps")
 	}
 }

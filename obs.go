@@ -3,9 +3,7 @@ package spcd
 import (
 	"io"
 
-	"spcd/internal/engine"
 	"spcd/internal/obs"
-	"spcd/internal/policy"
 )
 
 // Probe collects one run's observability data: a virtual-time metrics time
@@ -21,19 +19,6 @@ type ObsOptions = obs.Options
 // ObsOptions lets the engine choose the snapshot interval (~256 rows per
 // run) and the simulated machine's clock for trace timestamps.
 func NewProbe(opts ObsOptions) *Probe { return obs.New(opts) }
-
-// RunObserved is Run with observability: the probe records the run's
-// metrics time series and event trace, exportable afterwards with
-// WriteChromeTrace and WriteTimeSeriesCSV. All probe timestamps are
-// simulated cycles, so same-seed runs produce byte-identical artifacts —
-// and the returned Metrics are identical to an unobserved run's.
-func RunObserved(m *Machine, w Workload, policyName string, seed int64, pr *Probe) (Metrics, error) {
-	p, err := policy.Tuned(policyName, w, m)
-	if err != nil {
-		return Metrics{}, err
-	}
-	return engine.Run(engine.Config{Machine: m, Workload: w, Policy: p, Seed: seed, Probe: pr})
-}
 
 // WriteChromeTrace exports a probe's data in the Chrome trace_event JSON
 // format, loadable in chrome://tracing or https://ui.perfetto.dev (see the

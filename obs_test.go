@@ -21,7 +21,7 @@ func runObservedArtifacts(t *testing.T, policy string, seed int64) (trace, csv [
 		t.Fatal(err)
 	}
 	pr := spcd.NewProbe(spcd.ObsOptions{})
-	if _, err := spcd.RunObserved(mach, w, policy, seed, pr); err != nil {
+	if _, err := spcd.Run(mach, w, policy, seed, spcd.RunOptions{Probe: pr}); err != nil {
 		t.Fatal(err)
 	}
 	var tb, cb bytes.Buffer

@@ -3,8 +3,6 @@ package spcd
 import (
 	"io"
 
-	"spcd/internal/engine"
-	"spcd/internal/policy"
 	"spcd/internal/runtimeobs"
 )
 
@@ -24,20 +22,6 @@ type RuntimeCollector = runtimeobs.Collector
 // NewRuntimeCollector creates a host-time collector whose stamps count
 // from now. One collector can observe many runs (a whole sweep).
 func NewRuntimeCollector() *RuntimeCollector { return runtimeobs.New() }
-
-// RunWithRuntime is Run with host-side runtime observability: the
-// collector records run-level wall-clock phases for the sequential engine,
-// or per-worker per-epoch simulate / barrier-wait / merge spans for the
-// epoch-sharded engine (shards >= 1). The returned Metrics are identical
-// to an unobserved run's.
-func RunWithRuntime(m *Machine, w Workload, policyName string, seed int64, shards int, rt *RuntimeCollector) (Metrics, error) {
-	p, err := policy.Tuned(policyName, w, m)
-	if err != nil {
-		return Metrics{}, err
-	}
-	return engine.Run(engine.Config{Machine: m, Workload: w, Policy: p, Seed: seed,
-		Shards: shards, Runtime: rt.Proc("run " + w.Name())})
-}
 
 // WriteRuntimeTrace exports the collector's spans as a Chrome trace with
 // host-time lanes ("host: ..." process groups), loadable in

@@ -130,7 +130,7 @@ func TestRuntimeSummaryDiagnostics(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := spcd.NewRuntimeCollector()
-	if _, err := spcd.RunWithRuntime(spcd.DefaultMachine(), w, "spcd", 1, 2, rt); err != nil {
+	if _, err := spcd.Run(spcd.DefaultMachine(), w, "spcd", 1, spcd.RunOptions{Shards: 2, Runtime: rt}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -211,7 +211,8 @@ func TestShardedTraceShardAttribution(t *testing.T) {
 			BaseSeed: 7,
 			Shards:   shards,
 			Observe:  func(string, int) *spcd.Probe { return pr },
-		}.WithFaults(plan)
+			Faults:   &plan,
+		}
 		if _, err := e.Run(); err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package spcd_test
 
 import (
+	"math"
 	"testing"
 
 	"spcd"
@@ -109,5 +110,86 @@ func TestPaperShapeSPCDBetweenOSAndOracle(t *testing.T) {
 	if sp.DetectionOverheadPct+sp.MappingOverheadPct > 20 {
 		t.Errorf("overheads %.1f%%+%.1f%% out of range",
 			sp.DetectionOverheadPct, sp.MappingOverheadPct)
+	}
+}
+
+// TestPaperShapeDetection checks the detection shape of Figs. 6/7 at tiny
+// scale: SPCD follows the four-phase producer/consumer (it detects the
+// communication and remaps at least once), and the NAS kernels'
+// ground-truth patterns separate into the heterogeneous and homogeneous
+// classes.
+func TestPaperShapeDetection(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-run shape test")
+	}
+	mach := spcd.DefaultMachine()
+	pc, err := spcd.ProducerConsumer(32, spcd.ClassTiny, 4, spcd.ClassTiny.Accesses/4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := spcd.Run(mach, pc, "spcd", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Migrations < 1 {
+		t.Errorf("producer/consumer: SPCD never remapped across the phase changes")
+	}
+	if m.CommMatrix == nil || m.CommMatrix.Total() == 0 {
+		t.Errorf("producer/consumer: SPCD detected no communication")
+	}
+
+	heterogeneity := func(kernel string) float64 {
+		t.Helper()
+		w, err := spcd.NPB(kernel, 32, spcd.ClassTiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return spcd.TraceCommunication(w, mach, 1).Heterogeneity()
+	}
+	hetMin, homoMax := math.Inf(1), math.Inf(-1)
+	for _, kernel := range []string{"SP", "BT", "UA"} {
+		hetMin = math.Min(hetMin, heterogeneity(kernel))
+	}
+	for _, kernel := range []string{"EP", "FT", "IS"} {
+		homoMax = math.Max(homoMax, heterogeneity(kernel))
+	}
+	if hetMin <= homoMax {
+		t.Errorf("pattern classes overlap: min heterogeneous %.2f <= max homogeneous %.2f", hetMin, homoMax)
+	}
+}
+
+// TestPaperShapeSPCDOverhead checks SPCD's cost at tiny scale (Figs. 8/16):
+// on SP it migrates and runs within 10% of the OS baseline, and on SP and
+// EP its detection plus mapping overhead stays under 15%.
+func TestPaperShapeSPCDOverhead(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-run shape test")
+	}
+	mach := spcd.DefaultMachine()
+	for _, kernel := range []string{"SP", "EP"} {
+		w, err := spcd.NPB(kernel, 32, spcd.ClassTiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := spcd.Run(mach, w, "spcd", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ovh := sp.DetectionOverheadPct + sp.MappingOverheadPct; ovh >= 15 {
+			t.Errorf("%s: SPCD overhead %.2f%%, want < 15%%", kernel, ovh)
+		}
+		if kernel != "SP" {
+			continue
+		}
+		if sp.Migrations < 1 {
+			t.Errorf("SP: SPCD never migrated")
+		}
+		base, err := spcd.Run(mach, w, "os", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := sp.ExecSeconds / base.ExecSeconds; r >= 1.10 {
+			t.Errorf("SP: SPCD exec %.3f× OS, want < 1.10×", r)
+		}
 	}
 }

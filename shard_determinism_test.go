@@ -98,7 +98,8 @@ func TestEngineShardingByteIdenticalWithFaults(t *testing.T) {
 				Reps:     2,
 				BaseSeed: 7,
 				Shards:   shards,
-			}.WithFaults(plan)
+				Faults:   &plan,
+			}
 			res, err := e.Run()
 			if err != nil {
 				t.Fatal(err)
@@ -138,7 +139,7 @@ func TestGoldenShardedMetrics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := spcd.RunSharded(mach, w, policy, goldenSeed, 2)
+			m, err := spcd.Run(mach, w, policy, goldenSeed, spcd.RunOptions{Shards: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -85,7 +85,7 @@ func TestShootdownShardedByteIdentity(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					m, err := spcd.RunSharded(mach, w, policy, goldenSeed, shards)
+					m, err := spcd.Run(mach, w, policy, goldenSeed, spcd.RunOptions{Shards: shards})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -28,6 +28,7 @@ import (
 
 	"spcd/internal/commmatrix"
 	"spcd/internal/engine"
+	"spcd/internal/faultinject"
 	"spcd/internal/heatmap"
 	"spcd/internal/mapping"
 	"spcd/internal/policy"
@@ -132,52 +133,57 @@ func ProducerConsumer(threads int, class Class, phases int, phaseLength uint64) 
 	return workloads.NewProducerConsumer(threads, class, phases, phaseLength)
 }
 
-// Policy decides thread placement during a run.
-type Policy = engine.Policy
-
 // PolicyNames lists the four evaluated policies: "os", "random", "oracle",
 // "spcd".
 var PolicyNames = policy.Names
 
-// NewPolicy constructs a policy by name with periods scaled to the given
-// workload (see internal/policy for the scaling rationale).
-func NewPolicy(name string, w Workload, m *Machine) (Policy, error) {
-	return policy.Tuned(name, w, m)
-}
-
 // Metrics is the outcome of one simulated run.
 type Metrics = engine.Metrics
 
+// RunOptions holds Run's optional settings. The zero value runs the
+// sequential engine, fault-free and unobserved.
+type RunOptions struct {
+	// Shards selects the engine: 0 is the sequential engine; >= 1 runs the
+	// epoch-sharded engine with that many intra-run workers, clamped to the
+	// machine's core count. Sharded results are byte-identical for every
+	// worker count, but they intentionally differ from the sequential
+	// engine's: cross-core cache coherence and page-fault effects land at
+	// epoch boundaries instead of instantly (see DESIGN.md §13).
+	Shards int
+	// Faults is a fault-injection plan. Its fault sites fire at
+	// deterministic virtual-time points derived from (plan seed, run seed),
+	// and the policies degrade rather than fail. The zero plan is inactive.
+	Faults FaultPlan
+	// Probe, when non-nil, records the run's metrics time series and event
+	// trace, fault-degradation decisions included. Export it afterwards
+	// with WriteChromeTrace and WriteTimeSeriesCSV. One Probe observes
+	// exactly one run.
+	Probe *Probe
+	// Runtime, when non-nil, records host wall-clock spans: run-level
+	// phases for the sequential engine, per-worker per-epoch simulate /
+	// barrier-wait / merge spans for the sharded one.
+	Runtime *RuntimeCollector
+}
+
 // Run executes workload w on machine m under the named policy and returns
-// the measured metrics.
-func Run(m *Machine, w Workload, policyName string, seed int64) (Metrics, error) {
+// the measured metrics. At most one RunOptions may be passed. Probes and
+// runtime collectors only record: the returned Metrics are identical to an
+// unobserved run's.
+func Run(m *Machine, w Workload, policyName string, seed int64, opts ...RunOptions) (Metrics, error) {
+	if len(opts) > 1 {
+		return Metrics{}, fmt.Errorf("spcd: Run takes at most one RunOptions, got %d", len(opts))
+	}
+	var o RunOptions
+	if len(opts) == 1 {
+		o = opts[0]
+	}
 	p, err := policy.Tuned(policyName, w, m)
 	if err != nil {
 		return Metrics{}, err
 	}
-	return engine.Run(engine.Config{Machine: m, Workload: w, Policy: p, Seed: seed})
-}
-
-// RunWithPolicy executes workload w under a caller-constructed policy,
-// allowing custom policy options.
-func RunWithPolicy(m *Machine, w Workload, p Policy, seed int64) (Metrics, error) {
-	return engine.Run(engine.Config{Machine: m, Workload: w, Policy: p, Seed: seed})
-}
-
-// RunSharded executes workload w on the epoch-sharded engine with the given
-// intra-run worker count (shards >= 1; values above the machine's core count
-// are clamped). Sharded results are byte-identical for every worker count —
-// shards only changes wall-clock time — but they intentionally differ from
-// the sequential Run: cross-core cache coherence and page-fault effects land
-// at epoch boundaries instead of instantly (see DESIGN.md §13). shards <= 0
-// falls back to the sequential engine, making RunSharded(m, w, p, seed, 0)
-// identical to Run.
-func RunSharded(m *Machine, w Workload, policyName string, seed int64, shards int) (Metrics, error) {
-	p, err := policy.Tuned(policyName, w, m)
-	if err != nil {
-		return Metrics{}, err
-	}
-	return engine.Run(engine.Config{Machine: m, Workload: w, Policy: p, Seed: seed, Shards: shards})
+	return engine.Run(engine.Config{Machine: m, Workload: w, Policy: p, Seed: seed,
+		Shards: o.Shards, Probe: o.Probe, Injector: faultinject.NewInjector(o.Faults, seed),
+		Runtime: o.Runtime.Proc("run " + w.Name())})
 }
 
 // CommMatrix is a symmetric thread-communication matrix.

@@ -2,10 +2,13 @@ package spcd_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"spcd"
+	"spcd/internal/engine"
+	"spcd/internal/policy"
 )
 
 func TestDefaultMachineIsTableI(t *testing.T) {
@@ -271,26 +274,52 @@ func TestComparatorPoliciesViaFacade(t *testing.T) {
 	mach := spcd.DefaultMachine()
 	w, _ := spcd.NPB("CG", 8, spcd.ClassTest)
 	for _, name := range []string{"tlb", "hwc"} {
-		p, err := spcd.NewPolicy(name, w, mach)
-		if err != nil {
-			t.Fatalf("NewPolicy(%s): %v", name, err)
-		}
-		m, err := spcd.RunWithPolicy(mach, w, p, 1)
+		m, err := spcd.Run(mach, w, name, 1)
 		if err != nil || m.Policy != name {
 			t.Fatalf("%s run = %+v, %v", name, m, err)
 		}
 	}
 }
 
+// TestRunWithCustomPolicy: code that builds its own policy runs it through
+// engine.Run; with the tuned policy Run builds, the metrics are Run's.
 func TestRunWithCustomPolicy(t *testing.T) {
 	mach := spcd.DefaultMachine()
 	w, _ := spcd.NPB("CG", 8, spcd.ClassTest)
-	p, err := spcd.NewPolicy("spcd", w, mach)
+	p, err := policy.Tuned("spcd", w, mach)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := spcd.RunWithPolicy(mach, w, p, 1)
-	if err != nil || m.Policy != "spcd" {
-		t.Fatalf("RunWithPolicy = %+v, %v", m, err)
+	custom, err := engine.Run(engine.Config{Machine: mach, Workload: w, Policy: p, Seed: 1})
+	if err != nil || custom.Policy != "spcd" {
+		t.Fatalf("engine.Run = %+v, %v", custom, err)
+	}
+	m, err := spcd.Run(mach, w, "spcd", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprintf("%+v", m) != fmt.Sprintf("%+v", custom) {
+		t.Errorf("Run diverged from engine.Run with the tuned policy:\nRun:    %+v\nengine: %+v", m, custom)
+	}
+}
+
+// TestRunOptions: the zero RunOptions is a plain Run, and a second
+// RunOptions is an error rather than a silent merge.
+func TestRunOptions(t *testing.T) {
+	mach := spcd.DefaultMachine()
+	w, _ := spcd.NPB("CG", 8, spcd.ClassTest)
+	plain, err := spcd.Run(mach, w, "os", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero, err := spcd.Run(mach, w, "os", 1, spcd.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprintf("%+v", zero) != fmt.Sprintf("%+v", plain) {
+		t.Errorf("zero RunOptions changed the run:\nplain: %+v\nzero:  %+v", plain, zero)
+	}
+	if _, err := spcd.Run(mach, w, "os", 1, spcd.RunOptions{}, spcd.RunOptions{Shards: 2}); err == nil {
+		t.Error("two RunOptions accepted")
 	}
 }

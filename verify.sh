@@ -2,7 +2,10 @@
 # verify.sh — the repo's full verification gate, referenced from ROADMAP.md
 # and run verbatim by CI (.github/workflows/verify.yml). Runs the tier-1
 # build/tests plus the race detector and the spcdlint static analyzers
-# (internal/analysis). Pre-merge checks should run exactly this.
+# (internal/analysis), checks that every tracked Go file is gofmt-clean, and
+# vets and tests the benchmark module (benchmark/ is a module of its own, so
+# the root `go test ./...` never compiles it). Pre-merge checks should run
+# exactly this.
 #
 # BENCH=1 ./verify.sh additionally runs `make bench`: full-length
 # microbenchmarks of the engine hot path and the canonical refresh of
@@ -21,6 +24,13 @@ go build ./...
 go vet ./...
 go test -race ./...
 go run ./cmd/spcdlint ./...
+unformatted=$(git ls-files -z '*.go' | xargs -0 gofmt -l)
+if [ -n "$unformatted" ]; then
+	echo "gofmt -l reports unformatted files:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
+(cd benchmark && go vet . && go test .)
 
 if [ "${BENCH:-0}" = "1" ]; then
 	make bench
