@@ -60,21 +60,26 @@ bench-smoke:
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzApplyStreams -fuzztime 20s ./internal/cache
 
+# The smoke grids, each defined once and shared by the targets below.
+# OBS_GRID is the traced spcdobs run (obs-smoke, runtimeobs-smoke add the
+# class); CHAOS_GRID is the chaossweep fault grid on ClassSmall (chaos-smoke,
+# shootdown-smoke): a fixed fault plan, seed 42, intensity axis 0/0.5/1.
+OBS_GRID = -bench CG -threads 8 -policies os,spcd
+CHAOS_GRID = -bench CG -class small -threads 8 -policies os,spcd \
+	-intensities 0,0.5,1 -seed 42 -reps 2
+
 # OBS_DIR overrides where the trace/CSV artifacts land (CI uploads them).
 OBS_DIR ?= .obs-smoke
 
 obs-smoke:
 	mkdir -p $(OBS_DIR)
-	go run ./cmd/spcdobs -bench CG -class test -threads 8 \
-		-policies os,spcd -dir $(OBS_DIR) -check
+	go run ./cmd/spcdobs $(OBS_GRID) -class test -dir $(OBS_DIR) -check
 
-# Fixed fault plan (seed 42, intensity axis 0/0.5/1) on ClassSmall; -check
-# reruns the whole grid at parallelism 1 and 8 and requires byte-identical
-# reports, so this both exercises every degradation path and proves the
-# determinism contract holds under fault load.
+# -check reruns the whole CHAOS_GRID at parallelism 1 and 8 and requires
+# byte-identical reports, so this both exercises every degradation path and
+# proves the determinism contract holds under fault load.
 chaos-smoke:
-	go run ./cmd/chaossweep -bench CG -class small -threads 8 \
-		-policies os,spcd -intensities 0,0.5,1 -seed 42 -reps 2 -check
+	go run ./cmd/chaossweep $(CHAOS_GRID) -check
 
 # Host-side runtime observability end to end: a ClassSmall sharded run with
 # -runtimeobs, then -check re-reads runtime_trace.json / runtime_summary.json
@@ -85,28 +90,24 @@ RUNTIMEOBS_DIR ?= .runtimeobs-smoke
 
 runtimeobs-smoke:
 	mkdir -p $(RUNTIMEOBS_DIR)
-	go run ./cmd/spcdobs -bench CG -class small -threads 8 \
-		-policies os,spcd -shards 4 -dir $(RUNTIMEOBS_DIR) \
-		-runtimeobs $(RUNTIMEOBS_DIR) -check
+	go run ./cmd/spcdobs $(OBS_GRID) -class small -shards 4 \
+		-dir $(RUNTIMEOBS_DIR) -runtimeobs $(RUNTIMEOBS_DIR) -check
 
 # Translation-coherence cost model under both schemes at ClassSmall scale:
-# the full grid runs with -shootdown ipi and hatric, and each leg must be
+# CHAOS_GRID runs once per mode in SHOOTDOWN_MODES, and each leg must be
 # byte-identical at parallelism 1 vs 8 (-check) AND at shards 1 vs 4
 # (-checkshards) — shootdown charging is canonical, so worker count and
 # shard count cannot leak into the honest remap costs. The comparison CSVs
 # land in SHOOTDOWN_DIR (CI uploads them as artifacts).
 SHOOTDOWN_DIR ?= .shootdown-smoke
+SHOOTDOWN_MODES = ipi hatric
 
 shootdown-smoke:
 	mkdir -p $(SHOOTDOWN_DIR)
-	go run ./cmd/chaossweep -bench CG -class small -threads 8 \
-		-policies os,spcd -intensities 0,0.5,1 -seed 42 -reps 2 \
-		-shootdown ipi -check -checkshards \
-		-csv $(SHOOTDOWN_DIR)/shootdown_ipi.csv
-	go run ./cmd/chaossweep -bench CG -class small -threads 8 \
-		-policies os,spcd -intensities 0,0.5,1 -seed 42 -reps 2 \
-		-shootdown hatric -check -checkshards \
-		-csv $(SHOOTDOWN_DIR)/shootdown_hatric.csv
+	for mode in $(SHOOTDOWN_MODES); do \
+		go run ./cmd/chaossweep $(CHAOS_GRID) -shootdown $$mode -check -checkshards \
+			-csv $(SHOOTDOWN_DIR)/shootdown_$$mode.csv || exit 1; \
+	done
 
 # The long-running serving scenario under churn at ClassSmall scale: a
 # two-tenant schedule (arrival, phase switch) across the fault-intensity

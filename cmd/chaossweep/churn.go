@@ -2,10 +2,11 @@ package main
 
 import (
 	"fmt"
-	"os"
+	"slices"
 	"strings"
 
 	"spcd"
+	"spcd/internal/cli"
 	"spcd/internal/scenario"
 	"spcd/internal/sweep"
 )
@@ -20,11 +21,11 @@ import (
 type churnGrid struct {
 	tenants  int
 	class    spcd.Class
+	machine  *spcd.Machine // the host every scenario runs on, shootdown model included
 	policies []string
 	axis     []float64
 	seed     int64
 	reps     int
-	shards   int
 	budget   int
 }
 
@@ -43,9 +44,10 @@ type churnRow struct {
 }
 
 // run executes baseline + axis scenarios for every policy × rep in one
-// RunJobs batch at the given parallelism and renders the report and CSV.
-// Everything returned is a pure function of the grid definition.
-func (g churnGrid) run(parallelism int) (report, csv string) {
+// RunJobs batch at the given parallelism, with shards intra-interval engine
+// workers, and renders the report and CSV. Everything returned is a pure
+// function of the grid definition.
+func (g churnGrid) run(parallelism, shards int) (report, csv string) {
 	type point struct {
 		intensity float64 // -1: churn-free fault-free baseline
 		policy    string
@@ -74,16 +76,17 @@ func (g churnGrid) run(parallelism int) (report, csv string) {
 				plan := spcd.DefaultFaultPlan(g.seed, pt.intensity)
 				s.Faults = &plan
 			}
+			s.Machine = g.machine
 			s.Policy = pt.policy
 			s.MigrationBudget = g.budget
-			s.Shards = g.shards
+			s.Shards = shards
 			specs = append(specs, s)
 		}
 	}
 	reports, errs := scenario.RunJobs(specs, parallelism)
 	for i, err := range errs {
 		if err != nil {
-			fatal(fmt.Errorf("churn scenario %s: %w", specs[i].Policy, err))
+			cli.Fatal(fmt.Errorf("churn scenario %s: %w", specs[i].Policy, err))
 		}
 	}
 
@@ -109,7 +112,8 @@ func (g churnGrid) run(parallelism int) (report, csv string) {
 		row.deferrals /= n
 		rows[i] = row
 	}
-	return renderChurn(rows, g.policies), renderChurnCSV(rows)
+	shootdown := armed(g.machine)
+	return renderChurn(rows, g.policies, shootdown), renderChurnCSV(rows, shootdown)
 }
 
 // churnFreeSpec is the baseline schedule: the same tenant mix as
@@ -127,7 +131,7 @@ func churnFreeSpec(tenants int, class spcd.Class, seed int64) spcd.Scenario {
 
 // renderChurn produces the SLO-under-churn report: baseline rows first, then
 // the fault axis, each axis row normalized to the same policy's baseline.
-func renderChurn(rows []churnRow, pols []string) string {
+func renderChurn(rows []churnRow, pols []string, shootdown string) string {
 	base := make(map[string]churnRow, len(pols))
 	for _, r := range rows {
 		if r.intensity < 0 {
@@ -136,6 +140,9 @@ func renderChurn(rows []churnRow, pols []string) string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "SLO under churn (mean over reps; norm = vs same policy, churn-free fault-free)\n")
+	if shootdown != "" {
+		fmt.Fprintf(&b, "shootdown cost model: %s\n", shootdown)
+	}
 	fmt.Fprintf(&b, "%-10s %-8s %-16s %13s %14s %8s %8s %10s\n",
 		"intensity", "policy", "plan", "p99_slowdown", "c2c_cross", "moves", "rejects", "deferrals")
 	for _, r := range rows {
@@ -157,7 +164,7 @@ func renderChurn(rows []churnRow, pols []string) string {
 	}
 	// The serving-mode headline: does online mapping beat the static initial
 	// placement on cross-socket traffic before any churn or faults even start?
-	if hasBoth(pols, "static", "spcd") {
+	if slices.Contains(pols, "static") && slices.Contains(pols, "spcd") {
 		s, st := base["spcd"], base["static"]
 		verdict := "<= static"
 		if s.c2cCross > st.c2cCross {
@@ -169,25 +176,13 @@ func renderChurn(rows []churnRow, pols []string) string {
 	return b.String()
 }
 
-// checkChurnShards proves the churn grid's shard-count independence: the
-// full report and CSV must be byte-identical at 1 and 4 intra-interval
-// engine workers. Run at parallelism 1 so the shard count is the only
-// variable.
-func checkChurnShards(g churnGrid) {
-	g1, g4 := g, g
-	g1.shards, g4.shards = 1, 4
-	rep1, csv1 := g1.run(1)
-	rep4, csv4 := g4.run(1)
-	if rep1 != rep4 || csv1 != csv4 {
-		fatal(fmt.Errorf("shard determinism check failed: churn report differs at shards 1 and 4"))
-	}
-	fmt.Fprintln(os.Stderr, "check ok: churn report byte-identical at shards 1 and 4")
-}
-
 // renderChurnCSV renders the same rows machine-readably; baseline rows carry
 // intensity -1.
-func renderChurnCSV(rows []churnRow) string {
+func renderChurnCSV(rows []churnRow, shootdown string) string {
 	var b strings.Builder
+	if shootdown != "" {
+		fmt.Fprintf(&b, "# shootdown: %s\n", shootdown)
+	}
 	b.WriteString("intensity,policy,plan_digest,mean_p99_slowdown,c2c_cross_socket,c2c_total,moves,admit_rejects,governor_deferrals\n")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%g,%s,%s,%g,%g,%g,%g,%g,%g\n",

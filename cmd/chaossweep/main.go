@@ -24,178 +24,116 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"strconv"
+	"slices"
 	"strings"
 
 	"spcd"
-	"spcd/internal/hostprof"
+	"spcd/internal/cli"
 	"spcd/internal/runtimeobs"
 	"spcd/internal/sweep"
 )
 
+// sweeper is one report's grid: run executes all of it at the given
+// parallelism and shard count and renders the report and CSV.
+type sweeper interface {
+	run(parallelism, shards int) (report, csv string)
+}
+
 func main() {
+	o := &cli.Options{
+		Flags: cli.Bench | cli.Suite | cli.Class | cli.Threads | cli.Seed | cli.Policies | cli.Reps |
+			cli.Parallel | cli.Shards | cli.Shootdown | cli.RuntimeObs | cli.Profile,
+		Bench: "CG", Suite: "nas", ClassName: "small", Threads: 8, Seed: 42, Policies: "os,spcd", Reps: 2,
+		Shootdown: "none",
+	}
+	o.Register(flag.CommandLine)
 	var (
-		bench       = flag.String("bench", "CG", "benchmark name")
-		suite       = flag.String("suite", "nas", "workload suite: nas, parsec, pc")
-		class       = flag.String("class", "small", "workload class: test, tiny, small, A")
-		threads     = flag.Int("threads", 8, "threads")
-		policies    = flag.String("policies", "os,spcd", "comma-separated policies")
-		intensities = flag.String("intensities", "0,0.25,0.5,0.75,1", "comma-separated fault intensities in [0,1]")
-		seed        = flag.Int64("seed", 42, "master seed (feeds run seeds and the fault plans)")
-		reps        = flag.Int("reps", 2, "repetitions per (policy, intensity)")
-		parallel    = flag.Int("parallel", 0, "concurrent experiments (0 = GOMAXPROCS); the report is identical for every value")
-		shards      = flag.Int("shards", 0, "intra-run engine workers (0 = sequential engine; >=1 = epoch-sharded engine)")
-		shootdown   = flag.String("shootdown", "none", "TLB shootdown cost model: none, ipi, or hatric")
+		axis        = o.Fractions("intensities", "0,0.25,0.5,0.75,1", "comma-separated fault intensities in [0,1]")
 		csvPath     = flag.String("csv", "", "also write the curves as CSV to this path")
 		check       = flag.Bool("check", false, "build the report twice (parallelism 1 and 8) and fail unless byte-identical")
 		checkShards = flag.Bool("checkshards", false, "also build the epoch-sharded report at shards 1 and 4 and fail unless byte-identical")
 
-		churn   = flag.Bool("churn", false, "SLO-under-churn mode: run the multi-tenant serving scenario per intensity instead of a single kernel (default policies static,spcd)")
+		churn   = flag.Bool("churn", false, "SLO-under-churn mode: run the multi-tenant serving scenario per intensity instead of a single kernel (policies static,spcd unless -policies is set)")
 		tenants = flag.Int("tenants", 3, "churn mode: tenants in the serving schedule")
 		budget  = flag.Int("budget", 4, "churn mode: churn governor's max thread moves per interval")
-
-		runtimeDir = flag.String("runtimeobs", "", "write host runtime-observability artifacts (runtime_trace.json, runtime_summary.json) to this directory")
 	)
-	prof := hostprof.RegisterFlags()
-	flag.Parse()
+	o.Parse()
 
-	stopProf, err := prof.Start()
-	if err != nil {
-		fatal(err)
-	}
-
-	cls, err := spcd.ClassByName(*class)
-	if err != nil {
-		fatal(err)
-	}
-	mach := spcd.DefaultMachine()
-	if err := spcd.ConfigureShootdown(mach, *shootdown); err != nil {
-		fatal(err)
-	}
-	var w spcd.Workload
-	switch *suite {
-	case "nas":
-		w, err = spcd.NPB(*bench, *threads, cls)
-	case "parsec":
-		w, err = spcd.Parsec(*bench, *threads, cls)
-	case "pc":
-		w, err = spcd.ProducerConsumer(*threads, cls, 4, cls.Accesses/4)
-	default:
-		err = fmt.Errorf("unknown suite %q (want nas, parsec, pc)", *suite)
-	}
-	if err != nil {
-		fatal(err)
-	}
-
-	var pols []string
-	for _, pol := range strings.Split(*policies, ",") {
-		if pol = strings.TrimSpace(pol); pol != "" {
-			pols = append(pols, pol)
-		}
-	}
-	var axis []float64
-	for _, f := range strings.Split(*intensities, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil {
-			fatal(fmt.Errorf("bad intensity %q: %w", f, err))
-		}
-		axis = append(axis, v)
-	}
-	if len(pols) == 0 || len(axis) == 0 {
-		fatal(fmt.Errorf("need at least one policy and one intensity"))
-	}
-
+	pols := cli.Split(o.Policies)
+	var g sweeper
 	if *churn {
+		if o.RuntimeDir != "" {
+			cli.Fatal(errors.New("-runtimeobs does not apply to -churn: scenario runs record no host spans"))
+		}
 		polSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "policies" {
-				polSet = true
-			}
-		})
+		flag.Visit(func(f *flag.Flag) { polSet = polSet || f.Name == "policies" })
 		if !polSet {
 			// The serving-mode comparison of record: online SPCD against the
 			// static initial placement.
 			pols = []string{"static", "spcd"}
 		}
-		cg := churnGrid{
-			tenants: *tenants, class: cls, policies: pols, axis: axis,
-			seed: *seed, reps: *reps, shards: *shards, budget: *budget,
+		g = churnGrid{
+			tenants: *tenants, class: o.Class(), machine: o.Machine(), policies: pols, axis: *axis,
+			seed: o.Seed, reps: o.Reps, budget: *budget,
 		}
-		warnOversubscribed(*parallel, *shards)
-		if *check {
-			rep1, csv1 := cg.run(1)
-			rep8, csv8 := cg.run(8)
-			if rep1 != rep8 || csv1 != csv8 {
-				fatal(fmt.Errorf("determinism check failed: parallelism 1 and 8 disagree"))
-			}
-			fmt.Fprintln(os.Stderr, "check ok: churn report byte-identical at parallelism 1 and 8")
-			if *checkShards {
-				checkChurnShards(cg)
-			}
-			emit(rep1, csv1, *csvPath)
-		} else {
-			if *checkShards {
-				checkChurnShards(cg)
-			}
-			rep, csv := cg.run(*parallel)
-			emit(rep, csv, *csvPath)
+	} else {
+		g = grid{
+			machine: o.Machine(), workload: o.Workload(), policies: pols, axis: *axis,
+			seed: o.Seed, reps: o.Reps, runtime: o.Runtime(),
 		}
-		if err := stopProf(); err != nil {
-			fatal(err)
-		}
-		return
+	}
+	if len(pols) == 0 || len(*axis) == 0 {
+		cli.Fatal(errors.New("need at least one policy and one intensity"))
 	}
 
-	g := grid{
-		machine: mach, workload: w, policies: pols, axis: axis,
-		seed: *seed, reps: *reps, shards: *shards,
-	}
-	if s := mach.Shootdown.String(); s != "none" {
-		g.shootdown = s
-	}
-	if *runtimeDir != "" {
-		g.runtime = runtimeobs.New()
-	}
-	warnOversubscribed(*parallel, *shards)
+	var report, csv string
 	if *check {
 		// Re-derive the full artifacts at two parallelism levels; any
 		// scheduling dependence anywhere in the fault or sweep layers shows
 		// up as a byte diff here. (With -runtimeobs both legs land in the
 		// same collector — the host trace shows both, the report neither.)
-		rep1, csv1 := g.run(1)
-		rep8, csv8 := g.run(8)
-		if rep1 != rep8 || csv1 != csv8 {
-			fatal(fmt.Errorf("determinism check failed: parallelism 1 and 8 disagree"))
+		report, csv = g.run(1, o.Shards)
+		report8, csv8 := g.run(8, o.Shards)
+		if report != report8 || csv != csv8 {
+			cli.Fatal(errors.New("determinism check failed: parallelism 1 and 8 disagree"))
 		}
 		fmt.Fprintln(os.Stderr, "check ok: report byte-identical at parallelism 1 and 8")
-		if *checkShards {
-			checkShardIdentity(g)
-		}
-		emit(rep1, csv1, *csvPath)
-	} else {
-		if *checkShards {
-			checkShardIdentity(g)
-		}
-		rep, csv := g.run(*parallel)
-		emit(rep, csv, *csvPath)
 	}
-	if g.runtime != nil {
-		if err := runtimeobs.WriteArtifacts(*runtimeDir, g.runtime); err != nil {
-			fatal(err)
+	if *checkShards {
+		// The epoch-sharded engine's worker-count independence: at
+		// parallelism 1 the shard count is the only variable.
+		report1, csv1 := g.run(1, 1)
+		report4, csv4 := g.run(1, 4)
+		if report1 != report4 || csv1 != csv4 {
+			cli.Fatal(errors.New("shard determinism check failed: shards 1 and 4 disagree"))
 		}
-		fmt.Fprintf(os.Stderr, "wrote runtime artifacts to %s\n", *runtimeDir)
+		fmt.Fprintln(os.Stderr, "check ok: report byte-identical at shards 1 and 4")
 	}
-	if err := stopProf(); err != nil {
-		fatal(err)
+	if !*check {
+		report, csv = g.run(o.Parallel, o.Shards)
 	}
+	fmt.Print(report)
+	if *csvPath != "" {
+		cli.Check(cli.WriteFile(*csvPath, func(w io.Writer) error {
+			_, err := io.WriteString(w, csv)
+			return err
+		}))
+	}
+	o.Finish()
+}
+
+// armed names the machine's shootdown cost model, or "" for mode none,
+// whose output keeps its historical bytes.
+func armed(m *spcd.Machine) string {
+	if s := m.Shootdown.String(); s != "none" {
+		return s
+	}
+	return ""
 }
 
 // row is one (intensity, policy) point of the degradation curve, averaged
@@ -218,11 +156,6 @@ type grid struct {
 	axis     []float64
 	seed     int64
 	reps     int
-	shards   int // 0: sequential engine; >=1: epoch-sharded engine
-
-	// shootdown is the TLB shootdown cost-model name when armed, "" for the
-	// historical mode-none output (which must stay byte-identical).
-	shootdown string
 
 	// runtime, when set, collects host wall-clock spans per intensity sweep.
 	// One-way: the report and CSV are identical with it on or off.
@@ -230,9 +163,10 @@ type grid struct {
 }
 
 // run executes the whole intensity × policy × rep grid at the given
-// parallelism and renders the report and CSV. Everything it returns is a
-// pure function of the grid definition — see the package comment.
-func (g grid) run(parallelism int) (report, csv string) {
+// parallelism and shard count (0: sequential engine; >=1: epoch-sharded
+// engine) and renders the report and CSV. Everything it returns is a pure
+// function of the grid definition — see the package comment.
+func (g grid) run(parallelism, shards int) (report, csv string) {
 	rows := make([]row, 0, len(g.axis)*len(g.policies))
 	for _, intensity := range g.axis {
 		plan := spcd.DefaultFaultPlan(g.seed, intensity)
@@ -245,18 +179,14 @@ func (g grid) run(parallelism int) (report, csv string) {
 		runner := sweep.Runner{
 			Machine:     g.machine,
 			Parallelism: parallelism,
-			Shards:      g.shards,
+			Shards:      shards,
 			Runtime:     g.runtime,
 			Seeder:      func(c sweep.Config) int64 { return g.seed + int64(c.Rep) + 1 },
 			FaultPlan:   &plan,
 		}
 		rs, err := runner.Run(configs)
-		if err != nil {
-			fatal(err)
-		}
-		if err := sweep.FirstErr(rs); err != nil {
-			fatal(err)
-		}
+		cli.Check(err)
+		cli.Check(sweep.FirstErr(rs))
 		i := 0
 		for _, pol := range g.policies {
 			r := row{intensity: intensity, digest: plan.Digest(), policy: pol}
@@ -279,22 +209,8 @@ func (g grid) run(parallelism int) (report, csv string) {
 			rows = append(rows, r)
 		}
 	}
-	return render(rows, g.policies, g.shootdown), renderCSV(rows, g.shootdown)
-}
-
-// checkShardIdentity proves the epoch-sharded engine's worker-count
-// independence for this grid: the full report and CSV must be byte-identical
-// at 1 and 4 shards. Run at parallelism 1 so the only variable is the shard
-// count.
-func checkShardIdentity(g grid) {
-	g1, g4 := g, g
-	g1.shards, g4.shards = 1, 4
-	rep1, csv1 := g1.run(1)
-	rep4, csv4 := g4.run(1)
-	if rep1 != rep4 || csv1 != csv4 {
-		fatal(fmt.Errorf("shard determinism check failed: shards 1 and 4 disagree"))
-	}
-	fmt.Fprintln(os.Stderr, "check ok: report byte-identical at shards 1 and 4")
+	shootdown := armed(g.machine)
+	return render(rows, g.policies, shootdown), renderCSV(rows, shootdown)
 }
 
 // render produces the degradation-curve report: per policy, each intensity's
@@ -326,7 +242,7 @@ func render(rows []row, pols []string, shootdown string) string {
 	}
 	// The paper's headline comparison, per intensity: does communication-
 	// aware mapping still beat the OS placement under faults?
-	if hasBoth(pols, "os", "spcd") {
+	if slices.Contains(pols, "os") && slices.Contains(pols, "spcd") {
 		fmt.Fprintf(&b, "\nspcd vs os cross-socket c2c:\n")
 		byKey := make(map[string]row, len(rows))
 		for _, r := range rows {
@@ -372,56 +288,4 @@ func ratio(v, base float64) float64 {
 		return 0
 	}
 	return v / base
-}
-
-func hasBoth(pols []string, a, b string) bool {
-	var ha, hb bool
-	for _, p := range pols {
-		ha = ha || p == a
-		hb = hb || p == b
-	}
-	return ha && hb
-}
-
-// emit prints the report and, when requested, writes the CSV.
-func emit(report, csv, csvPath string) {
-	fmt.Print(report)
-	if csvPath == "" {
-		return
-	}
-	f, err := os.Create(csvPath)
-	if err != nil {
-		fatal(err)
-	}
-	if _, err := f.WriteString(csv); err != nil {
-		_ = f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(fmt.Errorf("close %s: %w", csvPath, err))
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", csvPath)
-}
-
-// warnOversubscribed notes (without failing) when sweep-level parallelism
-// times intra-run sharding would oversubscribe the host; the report stays
-// byte-identical either way.
-func warnOversubscribed(parallel, shards int) {
-	if shards <= 0 {
-		return
-	}
-	workers := parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if total := workers * shards; total > runtime.GOMAXPROCS(0) {
-		fmt.Fprintf(os.Stderr, "chaossweep: warning: -parallel %d x -shards %d = %d goroutines exceeds GOMAXPROCS=%d; "+
-			"runs stay byte-identical but will contend for cores\n",
-			workers, shards, total, runtime.GOMAXPROCS(0))
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "chaossweep:", err)
-	os.Exit(1)
 }

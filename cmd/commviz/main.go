@@ -13,43 +13,36 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"spcd"
+	"spcd/internal/cli"
 	"spcd/internal/commmatrix"
 	"spcd/internal/engine"
 	"spcd/internal/policy"
-	"spcd/internal/topology"
 	"spcd/internal/workloads"
 )
 
 func main() {
-	var (
-		fig     = flag.String("fig", "pc", "figure to reproduce: pc (Fig. 6) or nas (Fig. 7)")
-		class   = flag.String("class", "tiny", "workload class: test, tiny, small, A")
-		threads = flag.Int("threads", 32, "threads")
-		seed    = flag.Int64("seed", 1, "run seed")
-		out     = flag.String("out", "", "directory for PGM images (optional)")
-	)
-	flag.Parse()
+	o := &cli.Options{Flags: cli.Class | cli.Threads | cli.Seed, ClassName: "tiny", Threads: 32, Seed: 1}
+	o.Register(flag.CommandLine)
+	fig := flag.String("fig", "pc", "figure to reproduce: pc (Fig. 6) or nas (Fig. 7)")
+	out := flag.String("out", "", "directory for PGM images (optional)")
+	o.Parse()
 
-	cls, err := spcd.ClassByName(*class)
-	if err != nil {
-		fatal(err)
+	if *out != "" {
+		cli.Check(os.MkdirAll(*out, 0o755))
 	}
 	switch *fig {
 	case "pc":
-		if err := figure6(cls, *threads, *seed, *out); err != nil {
-			fatal(err)
-		}
+		cli.Check(figure6(o, *out))
 	case "nas":
-		if err := figure7(cls, *threads, *seed, *out); err != nil {
-			fatal(err)
-		}
+		cli.Check(figure7(o, *out))
 	default:
-		fatal(fmt.Errorf("unknown figure %q (want pc or nas)", *fig))
+		cli.Fatal(fmt.Errorf("unknown figure %q (want pc or nas)", *fig))
 	}
 }
 
@@ -57,10 +50,10 @@ func main() {
 // captures the detected matrix during each phase, at the transition, and
 // accumulated over the whole run (detection without aging) — the four
 // panels of Figure 6.
-func figure6(cls spcd.Class, threads int, seed int64, out string) error {
-	mach := topology.DefaultXeon()
-	const phases = 4
-	w, err := workloads.NewProducerConsumer(threads, cls, phases, cls.Accesses/phases)
+func figure6(o *cli.Options, out string) error {
+	mach, seed := o.Machine(), o.Seed
+	// Four equal phases: the snapshot fractions below assume them.
+	w, err := workloads.ByName("pc", "", o.Threads, o.Class())
 	if err != nil {
 		return err
 	}
@@ -142,11 +135,11 @@ func figure6(cls spcd.Class, threads int, seed int64, out string) error {
 
 // figure7 detects and renders the communication pattern of every NAS
 // kernel, with its heterogeneity classification.
-func figure7(cls spcd.Class, threads int, seed int64, out string) error {
-	mach := spcd.DefaultMachine()
+func figure7(o *cli.Options, out string) error {
+	mach, seed := o.Machine(), o.Seed
 	fmt.Println("Figure 7 — NAS communication matrices detected by SPCD")
 	for _, name := range spcd.NPBNames {
-		w, err := spcd.NPB(name, threads, cls)
+		w, err := spcd.NPB(name, o.Threads, o.Class())
 		if err != nil {
 			return err
 		}
@@ -174,37 +167,13 @@ func figure7(cls spcd.Class, threads int, seed int64, out string) error {
 // writePGM writes both a PGM raster and an SVG vector version of the
 // matrix (the .pgm extension is replaced by .svg for the latter).
 func writePGM(path string, m *commmatrix.Matrix) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	if err := cli.WriteFile(path, func(w io.Writer) error { return spcd.WriteHeatmapPGM(w, m, 8) }); err != nil {
 		return err
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := spcd.WriteHeatmapPGM(f, m, 8); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("close %s: %w", path, err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-
-	svgPath := strings.TrimSuffix(path, filepath.Ext(path)) + ".svg"
-	sf, err := os.Create(svgPath)
-	if err != nil {
-		return err
-	}
-	title := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	if err := spcd.WriteHeatmapSVG(sf, m, title); err != nil {
-		_ = sf.Close()
-		return err
-	}
-	if err := sf.Close(); err != nil {
-		return fmt.Errorf("close %s: %w", svgPath, err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", svgPath)
-	return nil
+	base := strings.TrimSuffix(path, filepath.Ext(path))
+	return cli.WriteFile(base+".svg", func(w io.Writer) error {
+		return spcd.WriteHeatmapSVG(w, m, filepath.Base(base))
+	})
 }
 
 func diff(a, b uint64) uint64 {
@@ -212,9 +181,4 @@ func diff(a, b uint64) uint64 {
 		return a - b
 	}
 	return b - a
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "commviz:", err)
-	os.Exit(1)
 }

@@ -25,11 +25,12 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 
 	"spcd"
 	"spcd/internal/buildinfo"
-	"spcd/internal/hostprof"
+	"spcd/internal/cli"
 	"spcd/internal/report"
 )
 
@@ -49,134 +50,72 @@ var figureMetrics = []spcd.Metric{
 	spcd.MetricProcEnergy, spcd.MetricDRAMEnergy, spcd.MetricProcEPI, spcd.MetricDRAMEPI,
 }
 
-// options collects the sweep parameters; buildReport turns them into the
-// metadata header and report tables so tests can exercise the whole
-// pipeline in-process.
-type options struct {
-	class    string
-	reps     int
-	metric   string
-	kernels  []string // nil: all ten
-	policies []string // nil: os,random,oracle,spcd
-	threads  int
-	seed     int64
-	parallel int
-	shards   int // 0: sequential engine; >=1: epoch-sharded engine
-	// shootdown is the translation-coherence cost model ("" or "none"
-	// keeps remaps free and the historical output bytes).
-	shootdown string
-
-	// runtime, when set, collects host wall-clock spans for the sweep pool
-	// and every run. One-way: table and CSV bytes are identical with it on
-	// or off.
-	runtime *spcd.RuntimeCollector
+// options returns npbsuite's shared flags with its defaults: every kernel
+// (empty -kernels) under os,random,oracle,spcd (empty -policies; tlb and
+// hwc are also available), 3 repetitions (the paper uses 10). Sweep
+// results are identical for every -parallel value, and a -runtimeobs
+// collector is one-way: table and CSV bytes are identical with it on or
+// off.
+func options() *cli.Options {
+	return &cli.Options{
+		Flags: cli.Kernels | cli.Class | cli.Threads | cli.Seed | cli.Policies | cli.Reps |
+			cli.Parallel | cli.Shards | cli.Shootdown | cli.RuntimeObs | cli.Profile,
+		ClassName: "small", Threads: 32, Reps: 3, Shootdown: "none",
+	}
 }
 
 func main() {
-	var (
-		class     = flag.String("class", "small", "workload class: test, tiny, small, A")
-		reps      = flag.Int("reps", 3, "repetitions per configuration (paper: 10)")
-		metric    = flag.String("metric", "", "single metric to report (default: all figures + Table II)")
-		kernels   = flag.String("kernels", "", "comma-separated kernel subset (default: all ten)")
-		policies  = flag.String("policies", "", "comma-separated policies (default: os,random,oracle,spcd; also: tlb, hwc)")
-		threads   = flag.Int("threads", 32, "threads per benchmark")
-		seed      = flag.Int64("seed", 0, "master seed for the per-experiment seed derivation")
-		parallel  = flag.Int("parallel", 0, "concurrent experiments (0 = GOMAXPROCS, 1 = sequential); results are identical for every value")
-		shards    = flag.Int("shards", 0, "intra-run engine workers (0 = sequential engine; >=1 = epoch-sharded engine, identical results for every value >= 1)")
-		shootdown = flag.String("shootdown", "none", "TLB shootdown cost model: none, ipi, or hatric")
-		csvPath   = flag.String("csv", "", "also write every table as CSV to this file")
+	o := options()
+	o.Register(flag.CommandLine)
+	metric := flag.String("metric", "", "single metric to report (default: all figures + Table II)")
+	csvPath := flag.String("csv", "", "also write every table as CSV to this file")
+	o.Parse()
 
-		runtimeDir = flag.String("runtimeobs", "", "write host runtime-observability artifacts (runtime_trace.json, runtime_summary.json) to this directory")
-	)
-	prof := hostprof.RegisterFlags()
-	flag.Parse()
-
-	stopProf, err := prof.Start()
-	if err != nil {
-		fatal(err)
-	}
-
-	o := options{
-		class: *class, reps: *reps, metric: *metric,
-		threads: *threads, seed: *seed, parallel: *parallel, shards: *shards,
-		shootdown: *shootdown,
-	}
-	if *runtimeDir != "" {
-		o.runtime = spcd.NewRuntimeCollector()
-	}
-	warnOversubscribed("npbsuite", o.parallel, o.shards)
-	if *kernels != "" {
-		o.kernels = splitList(*kernels)
-	}
-	if *policies != "" {
-		o.policies = splitList(*policies)
-	}
-	header, tables, err := buildReport(o, func(done, total int, key string, err error) {
+	header, tables, err := buildReport(o, *metric, func(done, total int, key string, err error) {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sweep %d/%d: %s: %v\n", done, total, key, err)
 			return
 		}
 		fmt.Fprintf(os.Stderr, "sweep %d/%d: %s\n", done, total, key)
 	})
-	if err != nil {
-		fatal(err)
-	}
+	cli.Check(err)
 	for _, line := range header {
 		fmt.Println(line)
 	}
 	for _, t := range tables {
 		fmt.Println()
-		if err := t.WriteText(os.Stdout); err != nil {
-			fatal(err)
-		}
+		cli.Check(t.WriteText(os.Stdout))
 	}
 	if *csvPath != "" {
-		if err := writeCSV(*csvPath, header, tables); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *csvPath)
+		cli.Check(cli.WriteFile(*csvPath, func(w io.Writer) error { return renderCSV(w, header, tables) }))
 	}
-	if o.runtime != nil {
-		if err := spcd.WriteRuntimeArtifacts(*runtimeDir, o.runtime); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote runtime artifacts to %s\n", *runtimeDir)
-	}
-	if err := stopProf(); err != nil {
-		fatal(err)
-	}
+	o.Finish()
 }
 
-// buildReport runs the sweep and renders the metadata header plus report
-// tables. progress, when non-nil, receives completion-order updates (it is
-// stderr-only commentary: table and CSV bytes never depend on scheduling).
-func buildReport(o options, progress func(done, total int, key string, err error)) ([]string, []*report.Table, error) {
-	cls, err := spcd.ClassByName(o.class)
-	if err != nil {
-		return nil, nil, err
-	}
-	names := o.kernels
+// buildReport runs the sweep o describes and renders the metadata header
+// plus report tables (only metric's figure when metric is set). progress,
+// when non-nil, receives completion-order updates (it is stderr-only
+// commentary: table and CSV bytes never depend on scheduling).
+func buildReport(o *cli.Options, metric string, progress func(done, total int, key string, err error)) ([]string, []*report.Table, error) {
+	names := cli.Split(o.Kernels)
 	if len(names) == 0 {
 		names = spcd.NPBNames
 	}
-	pols := o.policies
+	pols := cli.Split(o.Policies)
 	if len(pols) == 0 {
 		pols = spcd.PolicyNames
 	}
-	mach := spcd.DefaultMachine()
-	if err := spcd.ConfigureShootdown(mach, o.shootdown); err != nil {
-		return nil, nil, err
-	}
+	mach := o.Machine()
 
 	// Self-describing output: every result file carries the configuration
 	// that produced it, so archived tables can be reproduced exactly.
-	header := runMetadata(mach, names, pols, o.class, o.threads, o.reps, o.seed)
-	if o.shards > 0 {
+	header := runMetadata(mach, names, pols, o.ClassName, o.Threads, o.Reps, o.Seed)
+	if o.Shards > 0 {
 		// Unlike -parallel, -shards selects a different (epoch-sharded)
 		// engine whose results legitimately differ from the sequential
 		// engine's, so sharded tables record it. Sequential runs keep the
 		// historical header byte-for-byte.
-		header = append(header, fmt.Sprintf("# engine: epoch-sharded  shards: %d", o.shards))
+		header = append(header, fmt.Sprintf("# engine: epoch-sharded  shards: %d", o.Shards))
 	}
 	if mach.Shootdown.String() != "none" {
 		// Like -shards: the cost model changes the numbers, so armed tables
@@ -187,14 +126,14 @@ func buildReport(o options, progress func(done, total int, key string, err error
 	res, err := spcd.Sweep{
 		Machine:     mach,
 		Kernels:     names,
-		Class:       cls,
-		Threads:     o.threads,
+		Class:       o.Class(),
+		Threads:     o.Threads,
 		Policies:    pols,
-		Reps:        o.reps,
-		MasterSeed:  o.seed,
-		Parallelism: o.parallel,
-		Shards:      o.shards,
-		Runtime:     o.runtime,
+		Reps:        o.Reps,
+		MasterSeed:  o.Seed,
+		Parallelism: o.Parallel,
+		Shards:      o.Shards,
+		Runtime:     o.Runtime(),
 		OnProgress:  progress,
 	}.Run()
 	if err != nil {
@@ -206,13 +145,13 @@ func buildReport(o options, progress func(done, total int, key string, err error
 
 	var tables []*report.Table
 	metrics := figureMetrics
-	if o.metric != "" {
-		metrics = []spcd.Metric{spcd.Metric(o.metric)}
+	if metric != "" {
+		metrics = []spcd.Metric{spcd.Metric(metric)}
 	}
 	for _, m := range metrics {
 		tables = append(tables, figureTable(names, pols, res.ByKernel, m))
 	}
-	if o.metric == "" && contains(pols, "spcd") && contains(pols, "os") {
+	if metric == "" && slices.Contains(pols, "spcd") && slices.Contains(pols, "os") {
 		tables = append(tables, tableII(names, res.ByKernel))
 	}
 	return header, tables, nil
@@ -256,24 +195,6 @@ func renderCSV(w io.Writer, header []string, tables []*report.Table) error {
 		if _, err := fmt.Fprintln(w); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// writeCSV exports the metadata header and every table to path, surfacing
-// any write or close error so a full disk cannot silently truncate the
-// results.
-func writeCSV(path string, header []string, tables []*report.Table) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := renderCSV(f, header, tables); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("close %s: %w", path, err)
 	}
 	return nil
 }
@@ -357,47 +278,4 @@ func tableII(names []string, results map[string]*spcd.Results) *report.Table {
 	addSimpleRow("Detection overhead", spcd.MetricDetectOvh, "%.2f%%")
 	addSimpleRow("Mapping overhead", spcd.MetricMappingOvh, "%.2f%%")
 	return t
-}
-
-// warnOversubscribed notes (without failing) when sweep-level parallelism
-// times intra-run sharding would oversubscribe the host: determinism is
-// unaffected, only wall-clock time suffers.
-func warnOversubscribed(tool string, parallel, shards int) {
-	if shards <= 0 {
-		return
-	}
-	workers := parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if total := workers * shards; total > runtime.GOMAXPROCS(0) {
-		fmt.Fprintf(os.Stderr, "%s: warning: -parallel %d x -shards %d = %d goroutines exceeds GOMAXPROCS=%d; "+
-			"runs stay byte-identical but will contend for cores\n",
-			tool, workers, shards, total, runtime.GOMAXPROCS(0))
-	}
-}
-
-func splitList(s string) []string {
-	parts := strings.Split(s, ",")
-	out := parts[:0]
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "npbsuite:", err)
-	os.Exit(1)
 }

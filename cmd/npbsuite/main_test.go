@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"spcd/internal/cli"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden CSV from the current output")
@@ -14,22 +16,26 @@ var update = flag.Bool("update", false, "rewrite the golden CSV from the current
 // testOptions is a small, fast sweep (ClassTest, two kernels, two policies)
 // that still exercises the full report pipeline: normalization tables and
 // Table II (os+spcd present) plus the metadata header.
-func testOptions(parallel int) options {
-	return options{
-		class:    "test",
-		reps:     2,
-		kernels:  []string{"CG", "SP"},
-		policies: []string{"os", "spcd"},
-		threads:  8,
-		seed:     0,
-		parallel: parallel,
+func testOptions(t *testing.T, parallel int) *cli.Options {
+	t.Helper()
+	o := options()
+	o.ClassName = "test"
+	o.Reps = 2
+	o.Kernels = "CG,SP"
+	o.Policies = "os,spcd"
+	o.Threads = 8
+	o.Seed = 0
+	o.Parallel = parallel
+	if err := o.Resolve(); err != nil {
+		t.Fatal(err)
 	}
+	return o
 }
 
 // renderReport runs the sweep and renders the CSV export to a buffer.
-func renderReport(t *testing.T, o options) []byte {
+func renderReport(t *testing.T, o *cli.Options) []byte {
 	t.Helper()
-	header, tables, err := buildReport(o, nil)
+	header, tables, err := buildReport(o, "", nil)
 	if err != nil {
 		t.Fatalf("buildReport: %v", err)
 	}
@@ -57,7 +63,7 @@ func normalizeBuild(b []byte) []byte {
 // per-table layout (title comment, column row, data rows). Run with -update
 // to accept intentional schema or model changes.
 func TestCSVGolden(t *testing.T) {
-	got := normalizeBuild(renderReport(t, testOptions(1)))
+	got := normalizeBuild(renderReport(t, testOptions(t, 1)))
 	golden := filepath.Join("testdata", "golden.csv")
 	if *update {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
@@ -78,9 +84,9 @@ func TestCSVGolden(t *testing.T) {
 // layer: the rendered report (header + tables + CSV) is byte-for-byte the
 // same whether the sweep ran sequentially or on a worker pool.
 func TestParallelOutputByteIdentical(t *testing.T) {
-	base := renderReport(t, testOptions(1))
+	base := renderReport(t, testOptions(t, 1))
 	for _, workers := range []int{4, 16} {
-		got := renderReport(t, testOptions(workers))
+		got := renderReport(t, testOptions(t, workers))
 		if !bytes.Equal(base, got) {
 			t.Errorf("-parallel %d output differs from -parallel 1\n--- parallel 1 ---\n%s\n--- parallel %d ---\n%s",
 				workers, base, workers, got)

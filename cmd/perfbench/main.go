@@ -30,67 +30,38 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	"spcd"
 	"spcd/internal/benchfmt"
 	"spcd/internal/buildinfo"
-	"spcd/internal/hostprof"
-	"spcd/internal/runtimeobs"
+	"spcd/internal/cli"
 	"spcd/internal/sweep"
 )
 
 func main() {
-	var (
-		class      = flag.String("class", "small", "workload class: test, tiny, small, A")
-		reps       = flag.Int("reps", 3, "repetitions per configuration; best (min) wall time is kept")
-		kernels    = flag.String("kernels", "", "comma-separated kernel subset (default: all ten)")
-		policies   = flag.String("policies", "os,spcd", "comma-separated policies to time")
-		threads    = flag.Int("threads", 32, "threads per benchmark")
-		seed       = flag.Int64("seed", 1, "simulation seed")
-		parallel   = flag.Int("parallel", 0, "concurrent experiments (0 = GOMAXPROCS, 1 = sequential/uncontended)")
-		shards     = flag.Int("shards", 0, "intra-run engine workers (0 = sequential engine; >=1 = epoch-sharded engine)")
-		shardaxis  = flag.String("shardaxis", "", "comma-separated shard counts to time in sequence (e.g. 0,4); overrides -shards, first entry is the baseline")
-		shootdown  = flag.String("shootdown", "none", "TLB shootdown cost model: none, ipi, or hatric")
-		out        = flag.String("o", "BENCH_engine.json", "output JSON path (empty: stdout only)")
-		history    = flag.String("history", "", "append the record to this JSONL history (e.g. BENCH_history.jsonl) for cmd/benchdiff")
-		runtimeDir = flag.String("runtimeobs", "", "write host runtime-observability artifacts (runtime_trace.json, runtime_summary.json) to this directory")
-	)
-	prof := hostprof.RegisterFlags()
-	flag.Parse()
+	o := &cli.Options{
+		Flags: cli.Kernels | cli.Class | cli.Threads | cli.Seed | cli.Policies | cli.Reps |
+			cli.Parallel | cli.Shards | cli.Shootdown | cli.RuntimeObs | cli.Profile,
+		ClassName: "small", Threads: 32, Seed: 1, Policies: "os,spcd", Reps: 3, Shootdown: "none",
+	}
+	o.Register(flag.CommandLine)
+	shardaxis := o.Counts("shardaxis", "", "comma-separated shard counts to time in sequence (e.g. 0,4); overrides -shards, first entry is the baseline")
+	out := flag.String("o", "BENCH_engine.json", "output JSON path (empty: stdout only)")
+	history := flag.String("history", "", "append the record to this JSONL history (e.g. BENCH_history.jsonl) for cmd/benchdiff")
+	o.Parse()
 
-	cls, err := spcd.ClassByName(*class)
-	if err != nil {
-		fatal(err)
+	cls, threads, seed, reps := o.Class(), o.Threads, o.Seed, o.Reps
+	names := cli.Split(o.Kernels)
+	if len(names) == 0 {
+		names = spcd.NPBNames
 	}
-	names := spcd.NPBNames
-	if *kernels != "" {
-		names = splitList(*kernels)
-	}
-	pols := splitList(*policies)
-	if *reps < 1 {
-		*reps = 1
-	}
-	mach := spcd.DefaultMachine()
-	if err := spcd.ConfigureShootdown(mach, *shootdown); err != nil {
-		fatal(err)
-	}
+	pols := cli.Split(o.Policies)
 
-	stopProf, err := prof.Start()
-	if err != nil {
-		fatal(err)
-	}
-
-	var rtc *runtimeobs.Collector
-	if *runtimeDir != "" {
-		rtc = runtimeobs.New()
-	}
-
-	workers := *parallel
+	workers := o.Parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -98,27 +69,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "perfbench: note: %d workers contend for cores; "+
 			"per-experiment times are only comparable across -parallel 1 records\n", workers)
 	}
-	if *shards > 0 && workers**shards > runtime.GOMAXPROCS(0) {
-		fmt.Fprintf(os.Stderr, "perfbench: warning: -parallel %d x -shards %d = %d goroutines exceeds GOMAXPROCS=%d; "+
-			"timings will be contended (results stay byte-identical)\n",
-			workers, *shards, workers**shards, runtime.GOMAXPROCS(0))
-	}
-	axis := []int{*shards}
-	if *shardaxis != "" {
-		axis = axis[:0]
-		for _, s := range splitList(*shardaxis) {
-			v, err := strconv.Atoi(s)
-			if err != nil {
-				fatal(fmt.Errorf("bad -shardaxis entry %q: %w", s, err))
-			}
-			axis = append(axis, v)
-		}
-		if len(axis) == 0 {
-			fatal(fmt.Errorf("-shardaxis is set but names no shard counts"))
-		}
+	axis := *shardaxis
+	if len(axis) == 0 {
+		axis = []int{o.Shards}
 	}
 
-	bench := benchfmt.File{Class: cls.Name, Threads: *threads, Parallel: workers, Shards: axis[0],
+	bench := benchfmt.File{Class: cls.Name, Threads: threads, Parallel: workers, Shards: axis[0],
 		GoVersion: runtime.Version(), NumCPU: runtime.NumCPU()}
 
 	// timeSweep runs one full timing sweep at the given shard count. Every
@@ -126,32 +82,28 @@ func main() {
 	// identical work and keeps the minimum, so repetition narrows the
 	// measurement, not the workload.
 	timeSweep := func(shardCount int) (results []benchfmt.Result, totalAcc uint64, totalSec float64) {
-		configs := sweep.Product("nas", names, cls, *threads, pols, *reps)
+		configs := sweep.Product("nas", names, cls, threads, pols, reps)
 		start := time.Now()
 		runner := sweep.Runner{
-			Machine:     mach,
-			Parallelism: *parallel,
+			Machine:     o.Machine(),
+			Parallelism: o.Parallel,
 			Shards:      shardCount,
-			Runtime:     rtc,
-			Seeder:      func(sweep.Config) int64 { return *seed },
+			Runtime:     o.Runtime(),
+			Seeder:      func(sweep.Config) int64 { return seed },
 			//lint:ignore determinism-flow Now feeds only Result.WallNanos, the informational wall-clock column that DESIGN.md excludes from the determinism contract.
 			Now: func() int64 { return int64(time.Since(start)) },
 		}
 		rs, err := runner.Run(configs)
-		if err != nil {
-			fatal(err)
-		}
-		if err := sweep.FirstErr(rs); err != nil {
-			fatal(err)
-		}
+		cli.Check(err)
+		cli.Check(sweep.FirstErr(rs))
 
 		// Results arrive in canonical kernel-major, policy, rep-minor order:
-		// consecutive groups of *reps are one configuration.
-		for i := 0; i < len(rs); i += *reps {
-			group := rs[i : i+*reps]
+		// consecutive groups of reps are one configuration.
+		for i := 0; i < len(rs); i += reps {
+			group := rs[i : i+reps]
 			c := group[0].Config
 			r := benchfmt.Result{Kernel: c.Kernel, Policy: c.Policy, Class: cls.Name,
-				Threads: *threads, Seed: *seed, Reps: *reps}
+				Threads: threads, Seed: seed, Reps: reps}
 			best := group[0].WallNanos
 			for _, run := range group {
 				if run.WallNanos < best {
@@ -200,18 +152,13 @@ func main() {
 	}
 
 	blob, err := json.MarshalIndent(&bench, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
+	cli.Check(err)
 	blob = append(blob, '\n')
+	write := func(w io.Writer) error { _, err := w.Write(blob); return err }
 	if *out == "" {
-		if _, err := os.Stdout.Write(blob); err != nil {
-			fatal(err)
-		}
-	} else if err := writeFile(*out, blob); err != nil {
-		fatal(err)
+		cli.Check(write(os.Stdout))
 	} else {
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
+		cli.Check(cli.WriteFile(*out, write))
 	}
 
 	if *history != "" {
@@ -220,53 +167,8 @@ func main() {
 			Build: buildinfo.Describe(),
 			File:  bench,
 		}
-		if err := benchfmt.AppendHistory(*history, entry); err != nil {
-			fatal(err)
-		}
+		cli.Check(benchfmt.AppendHistory(*history, entry))
 		fmt.Fprintf(os.Stderr, "appended to %s\n", *history)
 	}
-
-	if rtc != nil {
-		if err := runtimeobs.WriteArtifacts(*runtimeDir, rtc); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote runtime artifacts to %s\n", *runtimeDir)
-	}
-
-	if err := stopProf(); err != nil {
-		fatal(err)
-	}
-}
-
-// writeFile writes blob to path, surfacing write and close errors so a full
-// disk cannot silently truncate the benchmark record.
-func writeFile(path string, blob []byte) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(blob); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("close %s: %w", path, err)
-	}
-	return nil
-}
-
-func splitList(s string) []string {
-	parts := strings.Split(s, ",")
-	out := parts[:0]
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "perfbench:", err)
-	os.Exit(1)
+	o.Finish()
 }

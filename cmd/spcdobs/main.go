@@ -27,67 +27,32 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 
 	"spcd"
-	"spcd/internal/hostprof"
+	"spcd/internal/cli"
 	"spcd/internal/obs"
 	"spcd/internal/runtimeobs"
 	"spcd/internal/sweep"
 )
 
 func main() {
-	var (
-		bench     = flag.String("bench", "CG", "benchmark name")
-		suite     = flag.String("suite", "nas", "workload suite: nas, parsec, pc")
-		class     = flag.String("class", "tiny", "workload class: test, tiny, small, A")
-		threads   = flag.Int("threads", 8, "threads")
-		policies  = flag.String("policies", "os,spcd", "comma-separated policies to trace")
-		seed      = flag.Int64("seed", 1, "run seed")
-		parallel  = flag.Int("parallel", 1, "concurrent experiments (0 = GOMAXPROCS); artifacts are identical for every value")
-		shards    = flag.Int("shards", 0, "intra-run engine workers (0 = sequential engine; >=1 = epoch-sharded engine)")
-		dir       = flag.String("dir", ".", "output directory for trace/timeseries files")
-		sample    = flag.Uint64("sample", 0, "snapshot interval in cycles (0 = ~256 rows per run)")
-		shootdown = flag.String("shootdown", "none", "TLB shootdown cost model: none, ipi, or hatric")
-		check     = flag.Bool("check", false, "re-read the written artifacts and validate them")
+	o := &cli.Options{
+		Flags: cli.Bench | cli.Suite | cli.Class | cli.Threads | cli.Seed | cli.Policies |
+			cli.Parallel | cli.Shards | cli.Shootdown | cli.RuntimeObs | cli.Profile,
+		Bench: "CG", Suite: "nas", ClassName: "tiny", Threads: 8, Seed: 1, Policies: "os,spcd",
+		Parallel: 1, Shootdown: "none",
+	}
+	o.Register(flag.CommandLine)
+	dir := flag.String("dir", ".", "output directory for trace/timeseries files")
+	sample := flag.Uint64("sample", 0, "snapshot interval in cycles (0 = ~256 rows per run)")
+	check := flag.Bool("check", false, "re-read the written artifacts and validate them")
+	o.Parse()
 
-		runtimeDir = flag.String("runtimeobs", "", "also write host runtime-observability artifacts (runtime_trace.json, runtime_summary.json) to this directory")
-	)
-	prof := hostprof.RegisterFlags()
-	flag.Parse()
-
-	cls, err := spcd.ClassByName(*class)
-	if err != nil {
-		fatal(err)
-	}
-	mach := spcd.DefaultMachine()
-	if err := spcd.ConfigureShootdown(mach, *shootdown); err != nil {
-		fatal(err)
-	}
-	var w spcd.Workload
-	switch *suite {
-	case "nas":
-		w, err = spcd.NPB(*bench, *threads, cls)
-	case "parsec":
-		w, err = spcd.Parsec(*bench, *threads, cls)
-	case "pc":
-		w, err = spcd.ProducerConsumer(*threads, cls, 4, cls.Accesses/4)
-	default:
-		err = fmt.Errorf("unknown suite %q (want nas, parsec, pc)", *suite)
-	}
-	if err != nil {
-		fatal(err)
-	}
-
-	var pols []string
-	for _, pol := range strings.Split(*policies, ",") {
-		if pol = strings.TrimSpace(pol); pol != "" {
-			pols = append(pols, pol)
-		}
-	}
+	w, pols := o.Workload(), cli.Split(o.Policies)
 
 	// One experiment per policy, each with its own probe; the workload
 	// instance is shared (NewRun is pure) so the pc suite works too. Probes
@@ -102,31 +67,18 @@ func main() {
 		probeFor[pol] = probes[i]
 	}
 	sweepProbe := spcd.NewProbe(spcd.ObsOptions{})
-	warnOversubscribed(*parallel, *shards)
-	stopProf, err := prof.Start()
-	if err != nil {
-		fatal(err)
-	}
-	var rtc *runtimeobs.Collector
-	if *runtimeDir != "" {
-		rtc = runtimeobs.New()
-	}
 	runner := sweep.Runner{
-		Machine:     mach,
-		Parallelism: *parallel,
-		Shards:      *shards,
-		Runtime:     rtc,
-		Seeder:      func(sweep.Config) int64 { return *seed },
+		Machine:     o.Machine(),
+		Parallelism: o.Parallel,
+		Shards:      o.Shards,
+		Runtime:     o.Runtime(),
+		Seeder:      func(sweep.Config) int64 { return o.Seed },
 		Observe:     func(c sweep.Config) *obs.Probe { return probeFor[c.Policy] },
 		Probe:       sweepProbe,
 	}
 	rs, err := runner.Run(configs)
-	if err != nil {
-		fatal(err)
-	}
-	if err := sweep.FirstErr(rs); err != nil {
-		fatal(err)
-	}
+	cli.Check(err)
+	cli.Check(sweep.FirstErr(rs))
 
 	// Report and export in canonical (flag) order regardless of which worker
 	// finished first.
@@ -140,59 +92,41 @@ func main() {
 
 		tracePath := filepath.Join(*dir, fmt.Sprintf("trace_%s_%s.json", w.Name(), pol))
 		csvPath := filepath.Join(*dir, fmt.Sprintf("timeseries_%s_%s.csv", w.Name(), pol))
-		writeFile(tracePath, func(f *os.File) error { return spcd.WriteChromeTrace(f, pr) })
-		writeFile(csvPath, func(f *os.File) error { return spcd.WriteTimeSeriesCSV(f, pr) })
+		cli.Check(cli.WriteFile(tracePath, func(f io.Writer) error { return spcd.WriteChromeTrace(f, pr) }))
+		cli.Check(cli.WriteFile(csvPath, func(f io.Writer) error { return spcd.WriteTimeSeriesCSV(f, pr) }))
 		if *check {
-			if err := checkTrace(tracePath); err != nil {
-				fatal(err)
-			}
-			if err := checkCSV(csvPath); err != nil {
-				fatal(err)
-			}
+			cli.Check(checkTrace(tracePath))
+			cli.Check(checkCSV(csvPath))
 			fmt.Fprintf(os.Stderr, "checked %s, %s\n", tracePath, csvPath)
 		}
 		merged = append(merged, spcd.TraceRun{Name: pol, Probe: pr})
 	}
 
 	mergedPath := filepath.Join(*dir, fmt.Sprintf("trace_%s_all.json", w.Name()))
-	writeFile(mergedPath, func(f *os.File) error { return spcd.WriteChromeTraceMerged(f, merged) })
+	cli.Check(cli.WriteFile(mergedPath, func(f io.Writer) error { return spcd.WriteChromeTraceMerged(f, merged) }))
 	if *check {
-		if err := checkTrace(mergedPath); err != nil {
-			fatal(err)
-		}
+		cli.Check(checkTrace(mergedPath))
 		fmt.Fprintf(os.Stderr, "checked %s\n", mergedPath)
 	}
 
-	if rtc != nil {
-		if err := runtimeobs.WriteArtifacts(*runtimeDir, rtc); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote runtime artifacts to %s\n", *runtimeDir)
-
+	o.Finish()
+	if rtc := o.Runtime(); rtc != nil {
 		// Combined trace: virtual-time runs and host-time lanes side by side
 		// in one file, each process in its own pid namespace. Virtual and
 		// host timestamps use different units (cycles vs microseconds), so
 		// the lanes are for structural comparison, not alignment.
-		combinedPath := filepath.Join(*runtimeDir, fmt.Sprintf("trace_%s_combined.json", w.Name()))
-		writeFile(combinedPath, func(f *os.File) error {
+		combinedPath := filepath.Join(o.RuntimeDir, fmt.Sprintf("trace_%s_combined.json", w.Name()))
+		cli.Check(cli.WriteFile(combinedPath, func(f io.Writer) error {
 			sink := obs.NewTraceSink()
 			basePid := obs.AppendTraceRuns(sink, merged, 0)
 			runtimeobs.AppendTrace(sink, rtc, basePid)
 			return sink.Flush(f)
-		})
+		}))
 		if *check {
-			if err := runtimeobs.CheckArtifacts(*runtimeDir, *shards > 0); err != nil {
-				fatal(err)
-			}
-			if err := checkTrace(combinedPath); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "checked runtime artifacts in %s\n", *runtimeDir)
+			cli.Check(runtimeobs.CheckArtifacts(o.RuntimeDir, o.Shards > 0))
+			cli.Check(checkTrace(combinedPath))
+			fmt.Fprintf(os.Stderr, "checked runtime artifacts in %s\n", o.RuntimeDir)
 		}
-	}
-
-	if err := stopProf(); err != nil {
-		fatal(err)
 	}
 }
 
@@ -297,42 +231,4 @@ func checkCSV(path string) error {
 		}
 	}
 	return nil
-}
-
-func writeFile(path string, write func(*os.File) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := write(f); err != nil {
-		_ = f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(fmt.Errorf("close %s: %w", path, err))
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-}
-
-// warnOversubscribed notes (without failing) when sweep-level parallelism
-// times intra-run sharding would oversubscribe the host; artifacts stay
-// byte-identical either way.
-func warnOversubscribed(parallel, shards int) {
-	if shards <= 0 {
-		return
-	}
-	workers := parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if total := workers * shards; total > runtime.GOMAXPROCS(0) {
-		fmt.Fprintf(os.Stderr, "spcdobs: warning: -parallel %d x -shards %d = %d goroutines exceeds GOMAXPROCS=%d; "+
-			"runs stay byte-identical but will contend for cores\n",
-			workers, shards, total, runtime.GOMAXPROCS(0))
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "spcdobs:", err)
-	os.Exit(1)
 }

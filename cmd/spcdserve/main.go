@@ -23,40 +23,37 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"spcd"
+	"spcd/internal/cli"
 	"spcd/internal/scenario"
 )
 
 func main() {
+	o := &cli.Options{Flags: cli.Class | cli.Seed | cli.Shards, ClassName: "tiny", Seed: 42}
+	o.Register(flag.CommandLine)
 	var (
 		tenants   = flag.Int("tenants", 3, "tenants in the canonical churn schedule (>=3 exercises arrival, phase switch and departure)")
-		class     = flag.String("class", "tiny", "workload class: test, tiny, small, A")
 		policyStr = flag.String("policy", "spcd", "serving policy: static, os, spcd, tlb, hwc")
-		seed      = flag.Int64("seed", 42, "master seed (roots every derived stream)")
 		budget    = flag.Int("budget", 4, "churn governor: max thread moves per interval")
 		intervals = flag.Int("maxintervals", 0, "watchdog bound on intervals (0 = default 1024)")
-		shards    = flag.Int("shards", 0, "intra-interval engine workers (0 = sequential engine; >=1 = epoch-sharded)")
-		faults    = flag.Float64("faults", 0, "fault intensity in [0,1]; >0 arms the default plan incl. admission failures")
+		faults    = o.Fraction("faults", 0, "fault intensity in [0,1]; >0 arms the default plan incl. admission failures")
 		csvPath   = flag.String("csv", "", "write per-tenant rows as CSV to this path")
 		events    = flag.String("events", "", "write the adaptation event log (admissions, remaps, deferrals) to this path")
 		check     = flag.Bool("check", false, "run a 4-seed batch at parallelism 1 and 8 and fail unless reports are byte-identical")
 		chkShards = flag.Bool("checkshards", false, "also run the scenario at shards 1 and 4 and fail unless byte-identical")
 	)
-	flag.Parse()
+	o.Parse()
 
-	cls, err := spcd.ClassByName(*class)
-	if err != nil {
-		fatal(err)
-	}
-	spec := spcd.DefaultScenario(*tenants, cls, *seed)
+	spec := spcd.DefaultScenario(*tenants, o.Class(), o.Seed)
 	spec.Policy = *policyStr
 	spec.MigrationBudget = *budget
 	spec.MaxIntervals = *intervals
-	spec.Shards = *shards
+	spec.Shards = o.Shards
 	if *faults > 0 {
-		plan := spcd.DefaultFaultPlan(*seed, *faults)
+		plan := spcd.DefaultFaultPlan(o.Seed, *faults)
 		spec.Faults = &plan
 	}
 
@@ -73,15 +70,13 @@ func main() {
 		spec.Probe = probe
 	}
 	rep, err := spcd.Serve(spec)
-	if err != nil {
-		fatal(err)
-	}
+	cli.Check(err)
 	fmt.Print(rep.Render())
 	if *csvPath != "" {
-		writeFile(*csvPath, func(f *os.File) error { return rep.WriteCSV(f) })
+		cli.Check(cli.WriteFile(*csvPath, rep.WriteCSV))
 	}
 	if *events != "" {
-		writeFile(*events, func(f *os.File) error { return writeEvents(f, probe) })
+		cli.Check(cli.WriteFile(*events, func(f io.Writer) error { return writeEvents(f, probe) }))
 	}
 }
 
@@ -98,14 +93,10 @@ func checkParallelism(spec spcd.Scenario) {
 	seq, errs1 := scenario.RunJobs(specs, 1)
 	par, errs8 := scenario.RunJobs(specs, 8)
 	for i := range specs {
-		if errs1[i] != nil {
-			fatal(errs1[i])
-		}
-		if errs8[i] != nil {
-			fatal(errs8[i])
-		}
+		cli.Check(errs1[i])
+		cli.Check(errs8[i])
 		if seq[i].Render() != par[i].Render() {
-			fatal(fmt.Errorf("determinism check failed: job %d differs between parallelism 1 and 8", i))
+			cli.Fatal(fmt.Errorf("determinism check failed: job %d differs between parallelism 1 and 8", i))
 		}
 	}
 	fmt.Fprintln(os.Stderr, "check ok: reports byte-identical at parallelism 1 and 8")
@@ -118,22 +109,18 @@ func checkShardIdentity(spec spcd.Scenario) {
 	s1.Shards, s4.Shards = 1, 4
 	s1.Probe, s4.Probe = nil, nil
 	r1, err := spcd.Serve(s1)
-	if err != nil {
-		fatal(err)
-	}
+	cli.Check(err)
 	r4, err := spcd.Serve(s4)
-	if err != nil {
-		fatal(err)
-	}
+	cli.Check(err)
 	if r1.Render() != r4.Render() {
-		fatal(fmt.Errorf("shard determinism check failed: shards 1 and 4 disagree"))
+		cli.Fatal(fmt.Errorf("shard determinism check failed: shards 1 and 4 disagree"))
 	}
 	fmt.Fprintln(os.Stderr, "check ok: report byte-identical at shards 1 and 4")
 }
 
 // writeEvents dumps the scenario's adaptation events, one per line at global
 // virtual time.
-func writeEvents(f *os.File, probe *spcd.Probe) error {
+func writeEvents(f io.Writer, probe *spcd.Probe) error {
 	for _, ev := range probe.Events() {
 		if _, err := fmt.Fprintf(f, "%d %s.%s", ev.Time, ev.Cat, ev.Name); err != nil {
 			return err
@@ -154,24 +141,4 @@ func writeEvents(f *os.File, probe *spcd.Probe) error {
 		}
 	}
 	return nil
-}
-
-func writeFile(path string, write func(*os.File) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := write(f); err != nil {
-		_ = f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(fmt.Errorf("close %s: %w", path, err))
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "spcdserve:", err)
-	os.Exit(1)
 }

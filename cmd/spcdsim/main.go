@@ -10,37 +10,24 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"spcd"
+	"spcd/internal/cli"
 )
 
 func main() {
-	var (
-		bench   = flag.String("bench", "SP", "benchmark: one of BT CG DC EP FT IS LU MG SP UA, or 'pc' for producer/consumer")
-		policy  = flag.String("policy", "spcd", "mapping policy: os, random, oracle, spcd")
-		class   = flag.String("class", "tiny", "workload class: test, tiny, small, A")
-		threads = flag.Int("threads", 32, "number of application threads")
-		seed    = flag.Int64("seed", 1, "run seed")
-		matrix  = flag.Bool("matrix", false, "print the detected communication matrix (spcd/oracle only)")
-	)
-	flag.Parse()
+	o := &cli.Options{Flags: cli.Bench | cli.Class | cli.Threads | cli.Seed,
+		Bench: "SP", ClassName: "tiny", Threads: 32, Seed: 1}
+	o.Register(flag.CommandLine)
+	policy := flag.String("policy", "spcd", "mapping policy: os, random, oracle, spcd")
+	matrix := flag.Bool("matrix", false, "print the detected communication matrix (spcd/oracle only)")
+	o.Parse()
 
-	cls, err := spcd.ClassByName(*class)
-	if err != nil {
-		fatal(err)
-	}
-	mach := spcd.DefaultMachine()
-	w, err := workloadByName(*bench, *threads, cls)
-	if err != nil {
-		fatal(err)
-	}
-	m, err := spcd.Run(mach, w, *policy, *seed)
-	if err != nil {
-		fatal(err)
-	}
+	w := o.Workload()
+	m, err := spcd.Run(o.Machine(), w, *policy, o.Seed)
+	cli.Check(err)
 
-	fmt.Printf("benchmark      %s (class %s, %d threads)\n", w.Name(), *class, *threads)
+	fmt.Printf("benchmark      %s (class %s, %d threads)\n", w.Name(), o.ClassName, o.Threads)
 	fmt.Printf("policy         %s\n", m.Policy)
 	fmt.Printf("exec time      %.6f s (%d cycles)\n", m.ExecSeconds, m.ExecCycles)
 	fmt.Printf("instructions   %d\n", m.Instructions)
@@ -62,16 +49,4 @@ func main() {
 			fmt.Print(spcd.RenderHeatmap(m.CommMatrix))
 		}
 	}
-}
-
-func workloadByName(name string, threads int, cls spcd.Class) (spcd.Workload, error) {
-	if name == "pc" {
-		return spcd.ProducerConsumer(threads, cls, 4, cls.Accesses/4)
-	}
-	return spcd.NPB(name, threads, cls)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "spcdsim:", err)
-	os.Exit(1)
 }

@@ -14,54 +14,32 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
+	"io"
 
 	"spcd"
+	"spcd/internal/cli"
 	"spcd/internal/mapping"
 	"spcd/internal/trace"
 )
 
 func main() {
-	var (
-		bench   = flag.String("bench", "SP", "benchmark name")
-		suite   = flag.String("suite", "nas", "workload suite: nas, parsec, pc")
-		class   = flag.String("class", "tiny", "workload class: test, tiny, small, A")
-		threads = flag.Int("threads", 32, "threads")
-		seed    = flag.Int64("seed", 1, "run seed")
-		gran    = flag.Int("gran", 0, "analysis granularity in bytes (0 = machine page size)")
-		csvPath = flag.String("csv", "", "write the matrix as CSV to this file")
-		svgPath = flag.String("svg", "", "write the matrix as SVG to this file")
-	)
-	flag.Parse()
+	o := &cli.Options{Flags: cli.Bench | cli.Suite | cli.Class | cli.Threads | cli.Seed,
+		Bench: "SP", Suite: "nas", ClassName: "tiny", Threads: 32, Seed: 1}
+	o.Register(flag.CommandLine)
+	gran := o.Count("gran", 0, "analysis granularity in bytes (0 = machine page size)")
+	csvPath := flag.String("csv", "", "write the matrix as CSV to this file")
+	svgPath := flag.String("svg", "", "write the matrix as SVG to this file")
+	o.Parse()
 
-	cls, err := spcd.ClassByName(*class)
-	if err != nil {
-		fatal(err)
-	}
-	mach := spcd.DefaultMachine()
-	var w spcd.Workload
-	switch *suite {
-	case "nas":
-		w, err = spcd.NPB(*bench, *threads, cls)
-	case "parsec":
-		w, err = spcd.Parsec(*bench, *threads, cls)
-	case "pc":
-		w, err = spcd.ProducerConsumer(*threads, cls, 4, cls.Accesses/4)
-	default:
-		err = fmt.Errorf("unknown suite %q (want nas, parsec, pc)", *suite)
-	}
-	if err != nil {
-		fatal(err)
-	}
-
+	mach, w := o.Machine(), o.Workload()
 	granBytes := *gran
 	if granBytes == 0 {
 		granBytes = mach.PageSize
 	}
-	pages, accesses := trace.Footprint(w, *seed, granBytes)
-	m := trace.CommunicationMatrix(w, *seed, granBytes)
+	pages, accesses := trace.Footprint(w, o.Seed, granBytes)
+	m := trace.CommunicationMatrix(w, o.Seed, granBytes)
 
-	fmt.Printf("workload       %s (%s, class %s, %d threads)\n", w.Name(), *suite, *class, *threads)
+	fmt.Printf("workload       %s (%s, class %s, %d threads)\n", w.Name(), o.Suite, o.ClassName, o.Threads)
 	fmt.Printf("accesses       %d (%d per thread)\n", accesses, w.AccessesPerThread())
 	fmt.Printf("footprint      %d regions of %d bytes (%.1f MByte)\n",
 		pages, granBytes, float64(pages)*float64(granBytes)/(1<<20))
@@ -78,12 +56,10 @@ func main() {
 	fmt.Print(spcd.RenderHeatmap(m))
 
 	if *csvPath != "" {
-		writeFile(*csvPath, func(f *os.File) error { return spcd.WriteMatrixCSV(f, m) })
+		cli.Check(cli.WriteFile(*csvPath, func(f io.Writer) error { return spcd.WriteMatrixCSV(f, m) }))
 	}
 	if *svgPath != "" {
-		writeFile(*svgPath, func(f *os.File) error {
-			return spcd.WriteHeatmapSVG(f, m, w.Name())
-		})
+		cli.Check(cli.WriteFile(*svgPath, func(f io.Writer) error { return spcd.WriteHeatmapSVG(f, m, w.Name()) }))
 	}
 }
 
@@ -99,24 +75,4 @@ func scatterRelative(m *spcd.CommMatrix, mach *spcd.Machine, aff []int) float64 
 		return 1
 	}
 	return mapping.Cost(m, mach, aff) / base
-}
-
-func writeFile(path string, write func(*os.File) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := write(f); err != nil {
-		_ = f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(fmt.Errorf("close %s: %w", path, err))
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "spcdtrace:", err)
-	os.Exit(1)
 }

@@ -359,7 +359,8 @@ func isDeterministicPkg(importPath string) bool {
 	return deterministicPkgs[importPath]
 }
 
-// isCmdPkg reports whether importPath is one of the CLI tools.
+// isCmdPkg reports whether importPath is one of the CLI tools or
+// internal/cli, their shared front end, which writes their output files.
 func isCmdPkg(importPath string) bool {
-	return strings.HasPrefix(importPath, "spcd/cmd/")
+	return strings.HasPrefix(importPath, "spcd/cmd/") || importPath == "spcd/internal/cli"
 }

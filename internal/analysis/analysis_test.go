@@ -128,6 +128,12 @@ func TestErrcheckIOGolden(t *testing.T) {
 	runGolden(t, "errcheckio", "spcd/cmd/ectest", []*Analyzer{ErrcheckIO})
 }
 
+// TestErrcheckIOCLIGolden: the rule follows the CLIs' file writing into
+// internal/cli.
+func TestErrcheckIOCLIGolden(t *testing.T) {
+	runGolden(t, "errcheckiocli", "spcd/internal/cli", []*Analyzer{ErrcheckIO})
+}
+
 func TestObsVirtualTimeGolden(t *testing.T) {
 	runGolden(t, "obsvirtualtime", "spcd/internal/obs", []*Analyzer{ObsVirtualTime})
 }

@@ -5,9 +5,10 @@ import (
 	"go/types"
 )
 
-// ErrcheckIO forbids discarding I/O errors in the cmd/ tools, where a full
-// disk or closed pipe must surface as a non-zero exit instead of a
-// silently truncated CSV or image:
+// ErrcheckIO forbids discarding I/O errors in the cmd/ tools and in
+// internal/cli, which writes their files, where a full disk or closed pipe
+// must surface as a non-zero exit instead of a silently truncated CSV or
+// image:
 //
 //   - an error returned by Write/WriteString/Flush/Sync/Fprint* used as a
 //     bare statement is flagged, unless the writer is os.Stdout/os.Stderr
@@ -20,7 +21,7 @@ import (
 // allowed.
 var ErrcheckIO = &Analyzer{
 	Name: "errcheck-io",
-	Doc:  "forbid discarded write/flush/close errors in cmd/ tools",
+	Doc:  "forbid discarded write/flush/close errors in cmd/ tools and internal/cli",
 	Run:  runErrcheckIO,
 }
 

@@ -54,7 +54,7 @@ import (
 // A shared Workload instance must have a pure NewRun: it is called from
 // concurrent workers.
 type Config struct {
-	Suite   string // "nas" (default) or "parsec"
+	Suite   string // "nas" (default), "parsec" or "pc"
 	Kernel  string
 	Class   workloads.Class
 	Threads int
@@ -99,14 +99,7 @@ func (c Config) build() (workloads.Workload, error) {
 	if c.Workload != nil {
 		return c.Workload, nil
 	}
-	switch suite := c.suiteOrDefault(); suite {
-	case "nas":
-		return workloads.NewNPB(c.Kernel, c.Threads, c.Class)
-	case "parsec":
-		return workloads.NewParsec(c.Kernel, c.Threads, c.Class)
-	default:
-		return nil, fmt.Errorf("unknown suite %q (want nas or parsec)", suite)
-	}
+	return workloads.ByName(c.suiteOrDefault(), c.Kernel, c.Threads, c.Class)
 }
 
 // Product expands the kernels × policies × reps grid in canonical sweep

@@ -86,7 +86,34 @@ func NewNPB(name string, threads int, class Class) (*Synth, error) {
 	default:
 		return nil, fmt.Errorf("workloads: unknown NPB kernel %q", name)
 	}
+	if err := base.Validate(); err != nil {
+		return nil, err
+	}
 	return NewSynth(base), nil
+}
+
+// ByName builds one kernel of a suite: "nas" (NewNPB), "parsec"
+// (NewParsec) or "pc", the producer/consumer benchmark of §V-B in four
+// equal phases, which takes no kernel name.
+func ByName(suite, kernel string, threads int, class Class) (Workload, error) {
+	var (
+		w   Workload
+		err error
+	)
+	switch suite {
+	case "nas":
+		w, err = NewNPB(kernel, threads, class)
+	case "parsec":
+		w, err = NewParsec(kernel, threads, class)
+	case "pc":
+		w, err = NewProducerConsumer(threads, class, 4, class.Accesses/4)
+	default:
+		err = fmt.Errorf("workloads: unknown suite %q (want nas, parsec, pc)", suite)
+	}
+	if err != nil {
+		return nil, err // not w: a typed nil pointer would compare non-nil
+	}
+	return w, nil
 }
 
 // HeterogeneousKernels lists the kernels the paper classifies as having a

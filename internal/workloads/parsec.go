@@ -83,6 +83,9 @@ func NewParsec(name string, threads int, class Class) (*Synth, error) {
 	default:
 		return nil, errUnknownParsec(name)
 	}
+	if err := base.Validate(); err != nil {
+		return nil, err
+	}
 	return NewSynth(base), nil
 }
 

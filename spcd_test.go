@@ -38,6 +38,12 @@ func TestNPBConstructors(t *testing.T) {
 	if _, err := spcd.NPB("ZZ", 8, spcd.ClassTest); err == nil {
 		t.Error("unknown kernel should error")
 	}
+	// A bad thread count is an error, not a panic inside NewSynth.
+	for _, threads := range []int{0, -1} {
+		if _, err := spcd.NPB("CG", threads, spcd.ClassTest); err == nil {
+			t.Errorf("NPB(CG, %d threads) should error", threads)
+		}
+	}
 }
 
 func TestRunAllPolicies(t *testing.T) {
@@ -235,6 +241,11 @@ func TestParsecFacade(t *testing.T) {
 	}
 	if _, err := spcd.Parsec("zz", 8, spcd.ClassTest); err == nil {
 		t.Error("unknown parsec kernel should error")
+	}
+	for _, threads := range []int{0, -1} {
+		if _, err := spcd.Parsec("dedup", threads, spcd.ClassTest); err == nil {
+			t.Errorf("Parsec(dedup, %d threads) should error", threads)
+		}
 	}
 	// A pipeline kernel runs end to end through the facade.
 	w, _ := spcd.Parsec("dedup", 8, spcd.ClassTest)
