@@ -53,12 +53,16 @@ bench:
 bench-smoke:
 	go test -run '^$$' -bench=. -benchmem -benchtime=1x ./...
 
-# Bounded native fuzzing. FuzzApplyStreams checks the sharded engine's
-# barrier merge of per-thread cache event streams against a sort-and-apply
-# reference; its seed corpus is internal/cache/testdata/fuzz. A crasher the
-# fuzzer finds lands there too and then runs on every `go test`.
+# Bounded native fuzzing, one target per `go test -fuzz` invocation.
+# FuzzApplyStreams checks the sharded engine's barrier merge of per-thread
+# cache event streams against a sort-and-apply reference. FuzzReadMatrixCSV
+# checks that the matrix CSV reader never panics and accepts only
+# communication matrices that round-trip. Each seed corpus is the package's
+# testdata/fuzz; a crasher the fuzzer finds lands there too and then runs on
+# every `go test`.
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzApplyStreams -fuzztime 20s ./internal/cache
+	go test -run '^$$' -fuzz FuzzReadMatrixCSV -fuzztime 10s ./internal/commmatrix
 
 # The smoke grids, each defined once and shared by the targets below.
 # OBS_GRID is the traced spcdobs run (obs-smoke, runtimeobs-smoke add the

@@ -127,7 +127,7 @@ func TestChurnScenarioCompletesUnderFaults(t *testing.T) {
 // `go test -run TestGoldenScenario -update` ONLY when a serving-semantics
 // change is intended, and say so in the commit.
 func TestGoldenScenario(t *testing.T) {
-	for _, policy := range []string{"static", "spcd"} {
+	for _, policy := range []string{"static", "os", "spcd", "tlb", "hwc"} {
 		t.Run(policy, func(t *testing.T) {
 			s := spcd.DefaultScenario(2, spcd.ClassTest, 42)
 			s.Policy = policy

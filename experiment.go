@@ -71,21 +71,21 @@ type Experiment struct {
 	Machine  *Machine
 	Workload Workload
 	Policies []string // defaults to PolicyNames
-	Reps     int      // defaults to 3 (the paper uses 10)
+	Reps     int      // 0 selects 3 (the paper uses 10); negative is an error
 	BaseSeed int64    // seeds are BaseSeed+1 .. BaseSeed+Reps
 
 	// Parallelism bounds how many simulations run concurrently. Each run
 	// is an independent, internally single-threaded simulation, so they
 	// parallelize perfectly. 0 selects GOMAXPROCS; 1 forces sequential
-	// execution.
+	// execution; negative is an error.
 	Parallelism int
 
 	// Shards selects the engine each run executes on: 0 (the default) is
 	// the sequential engine; >= 1 uses the epoch-sharded engine with that
-	// many intra-run workers. Sharded results are byte-identical for every
-	// value >= 1 but intentionally differ from the sequential engine (see
-	// DESIGN.md §13). Shards composes with Parallelism — the total worker
-	// count is roughly Parallelism × Shards.
+	// many intra-run workers; negative is an error. Sharded results are
+	// byte-identical for every value >= 1 but intentionally differ from the
+	// sequential engine (see DESIGN.md §13). Shards composes with
+	// Parallelism — the total worker count is roughly Parallelism × Shards.
 	Shards int
 
 	// Observe, if set, is called once per run before it starts and may
@@ -127,9 +127,9 @@ func (e Experiment) Run() (*Results, error) {
 	if len(policies) == 0 {
 		policies = PolicyNames
 	}
-	reps := e.Reps
-	if reps <= 0 {
-		reps = 3
+	reps, err := orDefault("Experiment.Reps", e.Reps, 3)
+	if err != nil {
+		return nil, err
 	}
 	configs := make([]sweep.Config, 0, len(policies)*reps)
 	for _, name := range policies {
@@ -171,6 +171,18 @@ func (e Experiment) Run() (*Results, error) {
 		res.ByPolicy[name] = ms
 	}
 	return res, nil
+}
+
+// orDefault returns v, or def when v is zero. A negative v is an error
+// naming field.
+func orDefault(field string, v, def int) (int, error) {
+	if v < 0 {
+		return 0, fmt.Errorf("spcd: negative %s %d", field, v)
+	}
+	if v == 0 {
+		return def, nil
+	}
+	return v, nil
 }
 
 // Policies returns the policy names in execution order.

@@ -11,9 +11,10 @@ import (
 	"spcd"
 )
 
-// The golden-metrics regression gate: the full Metrics of one fixed
-// seed x {os, spcd} x one kernel are pinned to files captured on the
-// pre-optimization tree (PR 2). Any hot-path change that alters simulation
+// The golden-metrics regression gate: the full Metrics of one fixed seed
+// under each (kernel, policy) pair of goldenRuns are pinned to files. The
+// CG pairs were captured on the pre-optimization tree; the SP pairs pin
+// the TLB and HWC comparators. Any hot-path change that alters simulation
 // *results* — not just timing — fails this test loudly. determinism_test.go
 // proves two same-seed runs agree with each other; this test additionally
 // proves they agree with the recorded history, so a refactor cannot shift
@@ -28,6 +29,12 @@ const (
 	goldenThreads = 8
 	goldenSeed    = 42
 )
+
+// goldenRuns are the pinned (kernel, policy) pairs. Each policy appears
+// once, so the policy names the subtest.
+var goldenRuns = []struct{ kernel, policy string }{
+	{goldenKernel, "os"}, {goldenKernel, "spcd"}, {"SP", "tlb"}, {"SP", "hwc"},
+}
 
 // renderMetrics formats every scalar field of Metrics at full precision,
 // one per line, plus the detected communication matrix as CSV. The format
@@ -67,9 +74,10 @@ func renderMetrics(t *testing.T, m spcd.Metrics) string {
 
 func TestGoldenMetrics(t *testing.T) {
 	mach := spcd.DefaultMachine()
-	for _, policy := range []string{"os", "spcd"} {
+	for _, run := range goldenRuns {
+		policy := run.policy
 		t.Run(policy, func(t *testing.T) {
-			w, err := spcd.NPB(goldenKernel, goldenThreads, spcd.ClassTest)
+			w, err := spcd.NPB(run.kernel, goldenThreads, spcd.ClassTest)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +87,7 @@ func TestGoldenMetrics(t *testing.T) {
 			}
 			got := renderMetrics(t, m)
 			path := filepath.Join("testdata",
-				fmt.Sprintf("golden_%s_%s.txt", goldenKernel, policy))
+				fmt.Sprintf("golden_%s_%s.txt", run.kernel, policy))
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)

@@ -250,8 +250,9 @@ func (m *Matrix) WriteCSV(w io.Writer) error {
 }
 
 // ReadCSV parses a matrix previously written by WriteCSV. The input must be
-// a square grid of comma-separated numbers; asymmetric input is rejected
-// because communication matrices are symmetric by construction (§II-B).
+// a square grid of comma-separated finite, non-negative counts with a zero
+// diagonal; asymmetric input is rejected because communication matrices are
+// symmetric by construction (§II-B).
 func ReadCSV(r io.Reader) (*Matrix, error) {
 	var rows [][]float64
 	sc := bufio.NewScanner(r)
@@ -267,6 +268,10 @@ func ReadCSV(r io.Reader) (*Matrix, error) {
 			if err != nil {
 				return nil, fmt.Errorf("commmatrix: row %d column %d: %w", len(rows), i, err)
 			}
+			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+				return nil, fmt.Errorf("commmatrix: row %d column %d: %g is not a finite non-negative count",
+					len(rows), i, v)
+			}
 			row[i] = v
 		}
 		rows = append(rows, row)
@@ -274,12 +279,16 @@ func ReadCSV(r io.Reader) (*Matrix, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	// Every row's length is checked before any cell is compared with its
+	// mirror, and before the n x n matrix is allocated.
 	n := len(rows)
-	m := New(n)
 	for i, row := range rows {
 		if len(row) != n {
 			return nil, fmt.Errorf("commmatrix: row %d has %d columns, want %d", i, len(row), n)
 		}
+	}
+	m := New(n)
+	for i, row := range rows {
 		for j, v := range row {
 			switch {
 			case i == j && v != 0:

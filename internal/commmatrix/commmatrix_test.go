@@ -268,16 +268,22 @@ func TestCSVRoundTrip(t *testing.T) {
 }
 
 func TestReadCSVRejectsBadInput(t *testing.T) {
-	cases := map[string]string{
-		"not a number":     "0,x\nx,0\n",
-		"ragged rows":      "0,1\n1,0,2\n",
-		"non-square":       "0,1,2\n1,0,2\n",
-		"asymmetric":       "0,1\n2,0\n",
-		"nonzero diagonal": "5,1\n1,0\n",
+	// Each bad input maps to a fragment of the error it must produce.
+	cases := map[string]struct{ input, want string }{
+		"not a number":     {"0,x\nx,0\n", "row 0 column 1"},
+		"ragged rows":      {"0,1\n1,0,2\n", "row 1 has 3 columns, want 2"},
+		"non-square":       {"0,1,2\n1,0,2\n", "row 0 has 3 columns, want 2"},
+		"asymmetric":       {"0,1\n2,0\n", "asymmetric at (0,1)"},
+		"nonzero diagonal": {"5,1\n1,0\n", "nonzero diagonal at 0"},
+		"short last row":   {"0,1,2\n1,0,3\n2\n", "row 2 has 1 columns, want 3"},
+		"infinite cell":    {"0,Inf\nInf,0\n", "row 0 column 1: +Inf is not a finite non-negative count"},
+		"negative cell":    {"0,-5\n-5,0\n", "row 0 column 1: -5 is not a finite non-negative count"},
+		"NaN cell":         {"0,NaN\nNaN,0\n", "row 0 column 1: NaN is not a finite non-negative count"},
 	}
-	for name, input := range cases {
-		if _, err := ReadCSV(strings.NewReader(input)); err == nil {
-			t.Errorf("%s: expected error", name)
+	for name, c := range cases {
+		_, err := ReadCSV(strings.NewReader(c.input))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", name, err, c.want)
 		}
 	}
 	// Empty input gives an empty matrix.

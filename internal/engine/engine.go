@@ -59,8 +59,9 @@ type Overheads struct {
 
 // Policy decides thread placement. One Policy instance drives one run.
 type Policy interface {
-	// Name identifies the policy in reports ("os", "random", "oracle",
-	// "spcd").
+	// Name identifies the policy in reports: "os", "random", "oracle",
+	// "spcd", or the comparators "tlb" and "hwc", which run SPCD's
+	// evaluate-and-migrate loop on a different detection mechanism.
 	Name() string
 	// Init is called once before the run with the simulation environment.
 	Init(env *Env) error
@@ -118,7 +119,7 @@ type Config struct {
 	// deterministically — not identical to the sequential engine's, because
 	// cross-core coherence effects land at epoch boundaries. Values above
 	// the machine's core count are clamped (extra workers would own no
-	// cores).
+	// cores); negative values are an error.
 	Shards int
 	// Runtime, when non-nil, records host wall-clock spans for this run
 	// (see internal/runtimeobs): where the *host* spends time, as opposed
@@ -144,6 +145,9 @@ func (c *Config) normalize() error {
 	if c.Workload.NumThreads() > c.Machine.NumContexts() {
 		return fmt.Errorf("engine: %d threads exceed %d hardware contexts",
 			c.Workload.NumThreads(), c.Machine.NumContexts())
+	}
+	if c.Shards < 0 {
+		return fmt.Errorf("engine: negative Shards %d", c.Shards)
 	}
 	if c.BatchAccesses <= 0 {
 		c.BatchAccesses = 48

@@ -3,11 +3,6 @@ package policy
 import (
 	"spcd/internal/commmatrix"
 	"spcd/internal/engine"
-	"spcd/internal/faultinject"
-	"spcd/internal/mapping"
-	"spcd/internal/obs"
-	"spcd/internal/topology"
-	"spcd/internal/workloads"
 )
 
 // HWC implements the hardware-performance-counter mapping approach the
@@ -24,148 +19,54 @@ import (
 // credit). Both limitations reduce the accuracy of the resulting matrix
 // relative to SPCD's direct page-level detection.
 type HWC struct {
-	opts HWCOptions
-
-	mach   *topology.Machine
-	n      int
-	env    *engine.Env
-	matrix *commmatrix.Matrix
-	mig    *migrator
-	mapper *mapping.Mapper
-
-	evalInterval uint64
-	nextEval     uint64
-	lastPair     [][]uint64
-	reads        uint64
-	readCycles   uint64
-
-	inj   *faultinject.Injector
-	probe *obs.Probe // nil unless the run is observed
+	estimate
+	lastPair [][]uint64
 }
 
 // HWCOptions tunes the hardware-counter policy.
 type HWCOptions struct {
-	// EvalIntervalCycles is the counter-read + evaluation period; 0 scales
-	// like SPCD (nominal/8).
+	// EvalIntervalCycles is the counter-read + evaluation period; 0
+	// selects 50 ms.
 	EvalIntervalCycles uint64
-	// ReadCostCycles models reading the PMU of every context (0 selects
-	// 200 cycles per context).
-	ReadCostCycles uint64
-	// DecayFactor ages the matrix per evaluation (0 selects 0.9).
-	DecayFactor float64
-	// MinImprovement and MoveCostCycles gate migrations as in SPCD.
-	MinImprovement float64
-	MoveCostCycles float64
-	// InitialPlacement, when non-nil, seeds the migrator with this
-	// placement instead of the OS scatter (see SPCDOptions).
+	// InitialPlacement, when non-nil, is the placement the policy starts
+	// from instead of the OS scatter (see SPCDOptions).
 	InitialPlacement []int
 }
 
+// hwcReadCostCycles models reading one context's PMU in one sweep.
+const hwcReadCostCycles = 200
+
 // NewHWC creates the hardware-counter policy.
-func NewHWC(opts HWCOptions) *HWC { return &HWC{opts: opts} }
-
-// TunedHWCOptions returns the scaled HWC policy options for workload w.
-func TunedHWCOptions(w workloads.Workload, m *topology.Machine) HWCOptions {
-	nominal := workloads.NominalCycles(w)
-	return HWCOptions{
-		EvalIntervalCycles: maxU64(nominal/8, 1),
-		MinImprovement:     0.05,
-	}
+func NewHWC(opts HWCOptions) *HWC {
+	p := &HWC{}
+	p.detection = detection{name: "hwc", src: p,
+		evalEvery: opts.EvalIntervalCycles, initial: opts.InitialPlacement}
+	return p
 }
 
-// TunedHWC returns an HWC policy with periods scaled to the workload.
-func TunedHWC(w workloads.Workload, m *topology.Machine) *HWC {
-	return NewHWC(TunedHWCOptions(w, m))
-}
-
-// Name implements engine.Policy.
-func (p *HWC) Name() string { return "hwc" }
-
-// Init implements engine.Policy.
-func (p *HWC) Init(env *engine.Env) error {
-	p.mach = env.Machine
-	p.n = env.NumThreads
-	p.env = env
+func (p *HWC) init(env *engine.Env) error {
 	p.matrix = commmatrix.New(env.NumThreads)
 	env.Caches.EnablePairCounters()
-	mp, err := mapping.NewMapper(env.Machine, env.NumThreads, nil)
-	if err != nil {
-		return err
-	}
-	p.mapper = mp
-	initial := p.opts.InitialPlacement
-	if initial == nil {
-		initial = Scatter(env.Machine, env.NumThreads)
-	}
-	p.mig = newMigrator(env.Machine, mp, initial,
-		p.opts.MinImprovement, p.opts.MoveCostCycles)
-	p.evalInterval = p.opts.EvalIntervalCycles
-	if p.evalInterval == 0 {
-		p.evalInterval = env.Machine.SecondsToCycles(0.050)
-	}
-	p.nextEval = p.evalInterval
-	p.inj = env.Injector
-	p.mig.configureFaults("hwc", env.Injector, p.probe, maxU64(p.evalInterval/8, 1))
 	return nil
 }
 
-// InitialAffinity implements engine.Policy.
-func (p *HWC) InitialAffinity() []int { return p.mig.affinity() }
-
-// SetProbe implements obs.Observer; the engine calls it before Init on
-// observed runs.
-func (p *HWC) SetProbe(pr *obs.Probe) { p.probe = pr }
-
-// Tick reads the counters, converts remote-supply events to an estimated
-// communication matrix, and evaluates it.
-func (p *HWC) Tick(now uint64) []int {
-	if p.mig.fellBack {
-		// Watchdog fallback (see migrator): stop reading counters; the run
-		// finishes on the OS placement.
-		return nil
-	}
+// sample reads the counters on the evaluation schedule.
+func (p *HWC) sample(now uint64) bool {
 	if now < p.nextEval {
-		return nil
+		return false
 	}
-	p.nextEval += p.evalInterval
 	p.readCounters()
-	// Injected counter saturation after a PMU read: halve the estimated
-	// matrix (aging as overflow handling), same response as SPCD.
-	if p.inj.Hit(faultinject.SitePolicySamplerSaturate) {
-		p.matrix.Scale(0.5)
-		if p.probe != nil {
-			p.probe.Emit(now, "hwc", "sampler.saturate", -1)
-		}
-	}
+	return true
+}
 
-	decay := p.opts.DecayFactor
-	if decay == 0 {
-		decay = 0.9
+// units counts accesses once the estimate holds any transfer: each
+// counted transfer is one real coherence event, so the matrix is already in
+// event units.
+func (p *HWC) units(matrix *commmatrix.Matrix) float64 {
+	if matrix.Total() > 0 {
+		return float64(p.env.AS.Stats().Accesses)
 	}
-	snapshot := p.matrix.Copy()
-	p.matrix.Scale(decay)
-
-	scale := 0.0
-	if snapshot.Total() > 0 {
-		st := p.env.AS.Stats()
-		total := float64(p.env.Workload.AccessesPerThread()) * float64(p.n)
-		remaining := total - float64(st.Accesses)
-		if remaining > 0 {
-			// Each counted transfer is one real coherence event; the
-			// matrix is already in event units.
-			scale = remaining / float64(st.Accesses)
-		}
-	}
-	aff, err := p.mig.consider(now, snapshot, scale)
-	if err != nil {
-		// Tick cannot propagate errors; surface the mapper failure as an
-		// obs event rather than swallowing it, and keep the placement.
-		if p.probe != nil {
-			p.probe.Emit(now, "hwc", "evaluate.error", -1, obs.Str("err", err.Error()))
-		}
-		return nil
-	}
-	return aff
+	return 0
 }
 
 // readCounters folds the per-(context, supplier core) transfer deltas since
@@ -173,18 +74,13 @@ func (p *HWC) Tick(now uint64) []int {
 // only known at core granularity, so the credit is split across the threads
 // currently on that core — the information loss inherent to the approach.
 func (p *HWC) readCounters() {
-	p.reads++
-	cost := p.opts.ReadCostCycles
-	if cost == 0 {
-		cost = 200
-	}
-	p.readCycles += cost * uint64(p.mach.NumContexts())
+	p.sweep(hwcReadCostCycles)
 
 	cur := p.env.Caches.PairC2C()
 	if cur == nil {
 		return
 	}
-	aff := p.mig.aff
+	aff := p.aff
 	threadOn := make(map[int]int, p.n) // context -> thread
 	for th, ctx := range aff {
 		threadOn[ctx] = th
@@ -222,16 +118,5 @@ func (p *HWC) readCounters() {
 	p.lastPair = cur
 }
 
-// Overheads implements engine.Policy.
-func (p *HWC) Overheads() engine.Overheads {
-	return engine.Overheads{
-		DetectionCycles: p.readCycles,
-		MappingCycles:   p.mapper.MappingCycles(),
-	}
-}
-
-// FinalMatrix implements engine.Policy.
-func (p *HWC) FinalMatrix() *commmatrix.Matrix { return p.matrix.Copy() }
-
 // Reads returns how many counter sweeps ran.
-func (p *HWC) Reads() uint64 { return p.reads }
+func (p *HWC) Reads() uint64 { return p.sweeps }

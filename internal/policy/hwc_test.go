@@ -10,10 +10,6 @@ import (
 )
 
 func TestHWCByNameAndTuned(t *testing.T) {
-	p, err := ByName("hwc")
-	if err != nil || p.Name() != "hwc" {
-		t.Fatalf("ByName(hwc) = %v, %v", p, err)
-	}
 	mach := topology.DefaultXeon()
 	w, _ := workloads.NewNPB("SP", 32, workloads.ClassTest)
 	if _, err := Tuned("hwc", w, mach); err != nil {
@@ -21,10 +17,20 @@ func TestHWCByNameAndTuned(t *testing.T) {
 	}
 }
 
+// tunedHWC returns the tuned HWC policy for w.
+func tunedHWC(t *testing.T, w workloads.Workload, mach *topology.Machine) *HWC {
+	t.Helper()
+	p, err := Tuned("hwc", w, mach)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.(*HWC)
+}
+
 func TestHWCDetectsCommunication(t *testing.T) {
 	mach := topology.DefaultXeon()
 	w, _ := workloads.NewNPB("SP", 32, workloads.ClassTiny)
-	p := TunedHWC(w, mach)
+	p := tunedHWC(t, w, mach)
 	m, err := engine.Run(engine.Config{Machine: mach, Workload: w, Policy: p, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +72,7 @@ func TestHWCBlindToLocalSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := TunedHWC(w, mach)
+	p := tunedHWC(t, w, mach)
 	m, err := engine.Run(engine.Config{Machine: mach, Workload: w, Policy: p, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

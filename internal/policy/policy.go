@@ -1,5 +1,6 @@
-// Package policy implements the four thread-placement policies the paper
-// evaluates (§V-D):
+// Package policy implements the thread-placement policies: the four the
+// paper evaluates (§V-D) and the two detection mechanisms it compares SPCD
+// with (§VI-B):
 //
 //   - OS: a communication-blind baseline in the spirit of the Linux
 //     scheduler: threads spread breadth-first across sockets and cores, with
@@ -11,16 +12,22 @@
 //     faults (internal/core), the communication filter and hierarchical
 //     Edmonds mapping (internal/mapping), migrating threads as the pattern
 //     emerges or changes.
+//   - TLB: detection by comparing TLB contents (ref. [22]).
+//   - HWC: estimation from remote-cache performance counters (ref. [7]).
+//
+// SPCD, TLB and HWC share one evaluate-and-migrate loop (detection): the
+// filter, the mapping, the migration gates and the fault degradation are
+// the same code, so the three differ only in how they detect.
 package policy
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"spcd/internal/commmatrix"
 	"spcd/internal/core"
 	"spcd/internal/engine"
-	"spcd/internal/faultinject"
 	"spcd/internal/hashtab"
 	"spcd/internal/mapping"
 	"spcd/internal/obs"
@@ -208,12 +215,6 @@ type SPCDOptions struct {
 	DecayFactor float64
 	// Matcher selects the matching algorithm; nil selects Edmonds.
 	Matcher mapping.Matcher
-	// MinImprovement is the fractional communication-cost reduction a new
-	// mapping must deliver (relative to keeping the current placement) to
-	// justify migrating; it suppresses churn from detection noise that
-	// slips past the communication filter. 0 selects 0.05; negative
-	// disables the check.
-	MinImprovement float64
 	// MoveCostCycles estimates the full cost of migrating one thread
 	// (kernel work plus refilling its working set on the new core), used
 	// by the cost/benefit migration gate. 0 selects 40,000 cycles;
@@ -227,13 +228,6 @@ type SPCDOptions struct {
 	// It is how the producer/consumer phase matrices of Fig. 6 are
 	// captured.
 	OnEvaluate func(now uint64, matrix *commmatrix.Matrix)
-
-	// MinNewEvents postpones a matrix evaluation until at least this many
-	// new communication events arrived since the previous one, so kernels
-	// with little communication (CG, EP) do not pay filter + matching
-	// costs for evaluations that carry no new information. 0 selects
-	// twice the thread count; negative disables the gate.
-	MinNewEvents int
 
 	// DataMapping enables the extension the paper names but does not
 	// evaluate (§IV: "the mechanisms can be used to perform data mapping
@@ -253,28 +247,24 @@ type SPCDOptions struct {
 	// the same mapping-overhead accounting when a mode is armed.
 	PageMigrationCostCycles uint64
 
-	// InitialPlacement, when non-nil, seeds the migrator with this
-	// thread -> context placement instead of the OS scatter. The scenario
-	// layer (internal/scenario) uses it so a mid-life tenant mix resumes
-	// from its current serving placement rather than restarting from
-	// scratch every interval.
+	// InitialPlacement, when non-nil, is the thread -> context placement
+	// the policy starts from instead of the OS scatter. The scenario layer
+	// (internal/scenario) uses it so a mid-life tenant mix resumes from its
+	// current serving placement rather than restarting from scratch every
+	// interval.
 	InitialPlacement []int
 }
 
-// SPCD is the paper's mechanism as an engine policy.
+// SPCD is the paper's mechanism as an engine policy: the shared detection
+// loop driven by induced page faults.
 type SPCD struct {
+	detection
 	opts SPCDOptions
 
-	mach     *topology.Machine
-	n        int
-	env      *engine.Env
 	detector *core.Detector
 	sampler  *core.Sampler
-	mapper   *mapping.Mapper
-	mig      *migrator
+	cleared  int // pages the last sampler batch cleared
 
-	evalInterval    uint64
-	nextEval        uint64
 	lastEvents      uint64
 	lowEvals        int
 	configuredFloor int
@@ -287,12 +277,9 @@ type SPCD struct {
 	// Fault-degradation state for the data-mapping extension: page
 	// migrations that failed transiently wait here for a bounded number of
 	// backoff retries (see migrateData).
-	inj             *faultinject.Injector
 	pageRetries     []pageRetry
 	pageRetryDrops  uint64
 	samplerSaturate uint64
-
-	probe *obs.Probe // nil unless the run is observed
 }
 
 // pageRetry is one page migration awaiting a backoff retry after a
@@ -311,18 +298,17 @@ const maxPageRetries = 3
 
 // NewSPCD creates the SPCD policy with the given options (zero value =
 // paper defaults).
-func NewSPCD(opts SPCDOptions) *SPCD { return &SPCD{opts: opts} }
+func NewSPCD(opts SPCDOptions) *SPCD {
+	p := &SPCD{opts: opts}
+	p.detection = detection{name: "spcd", src: p,
+		evalEvery: opts.EvalIntervalCycles, firstEval: opts.FirstEvalCycles,
+		matcher: opts.Matcher, moveCost: opts.MoveCostCycles, initial: opts.InitialPlacement}
+	return p
+}
 
-// Name implements engine.Policy.
-func (p *SPCD) Name() string { return "spcd" }
-
-// Init implements engine.Policy: it registers the detector in the simulated
-// fault handler and starts the sampler kernel thread.
-func (p *SPCD) Init(env *engine.Env) error {
-	p.mach = env.Machine
-	p.n = env.NumThreads
-	p.env = env
-
+// init registers the detector in the simulated fault handler and starts
+// the sampler kernel thread.
+func (p *SPCD) init(env *engine.Env) error {
 	cfg := core.DefaultConfig(env.Machine, env.NumThreads)
 	if p.opts.Config != nil {
 		cfg = *p.opts.Config
@@ -335,127 +321,78 @@ func (p *SPCD) Init(env *engine.Env) error {
 	if err != nil {
 		return err
 	}
-	mp, err := mapping.NewMapper(env.Machine, env.NumThreads, p.opts.Matcher)
-	if err != nil {
-		return err
-	}
 	p.detector = det
 	p.sampler = smp
-	p.mapper = mp
-	initial := p.opts.InitialPlacement
-	if initial == nil {
-		initial = Scatter(env.Machine, env.NumThreads)
-	}
-	p.mig = newMigrator(env.Machine, mp, initial,
-		p.opts.MinImprovement, p.opts.MoveCostCycles)
 	env.AS.AddHandler(det.HandleFault)
-
-	p.evalInterval = p.opts.EvalIntervalCycles
-	if p.evalInterval == 0 {
-		p.evalInterval = env.Machine.SecondsToCycles(0.050)
-	}
-	p.nextEval = p.opts.FirstEvalCycles
-	if p.nextEval == 0 {
-		p.nextEval = p.evalInterval
-	}
-	p.inj = env.Injector
-	// Delayed remaps retry on a schedule that starts well inside one
-	// evaluation period (retries quantize to evaluation times) so the
-	// watchdog budget is reachable within a run.
-	p.mig.configureFaults("spcd", env.Injector, p.probe, maxU64(p.evalInterval/8, 1))
 	p.configuredFloor = cfg.MinBatch
-	if cfg.Granularity >= env.Machine.PageSize {
-		p.pagesPerRegion = uint64(cfg.Granularity / env.Machine.PageSize)
-	} else {
-		p.pagesPerRegion = 1
-	}
-	shift := uint(0)
-	for 1<<shift != env.Machine.PageSize {
-		shift++
-	}
-	p.regionPageShift = shift
+	p.pagesPerRegion = uint64(max(cfg.Granularity/env.Machine.PageSize, 1))
+	p.regionPageShift = uint(bits.TrailingZeros(uint(env.Machine.PageSize))) // a power of two
 	return nil
 }
-
-// InitialAffinity implements engine.Policy: SPCD starts from the same
-// communication-blind placement as the OS and improves it online.
-func (p *SPCD) InitialAffinity() []int { return p.mig.affinity() }
 
 // SetProbe implements obs.Observer; the engine calls it before Init on
 // observed runs. Detector and sampler counters are registered through
 // closures that the registry reads at snapshot time, after Init has built
-// them (the guards cover a probe snapshotted before Init, which only
-// happens in tests).
+// them (a probe snapshotted before Init, which only happens in tests, reads
+// zeros).
 func (p *SPCD) SetProbe(pr *obs.Probe) {
 	p.probe = pr
 	if pr == nil {
 		return
 	}
 	reg := pr.Registry()
-	reg.CounterFunc("spcd.faults_seen", func() uint64 {
-		if p.detector == nil {
-			return 0
-		}
-		return p.detector.Stats().FaultsSeen
-	})
-	reg.CounterFunc("spcd.comm_events", func() uint64 {
-		if p.detector == nil {
-			return 0
-		}
-		return p.detector.Stats().CommEvents
-	})
-	reg.CounterFunc("spcd.detection_cycles", func() uint64 {
-		if p.detector == nil {
-			return 0
-		}
-		return p.detector.Stats().DetectionCycles
-	})
-	reg.CounterFunc("spcd.sampler_wakeups", func() uint64 {
-		if p.sampler == nil {
-			return 0
-		}
-		return p.sampler.Stats().Wakeups
-	})
-	reg.CounterFunc("spcd.pages_cleared", func() uint64 {
-		if p.sampler == nil {
-			return 0
-		}
-		return p.sampler.Stats().PagesCleared
-	})
+	reg.CounterFunc("spcd.faults_seen", func() uint64 { return p.detectorStats().FaultsSeen })
+	reg.CounterFunc("spcd.comm_events", func() uint64 { return p.detectorStats().CommEvents })
+	reg.CounterFunc("spcd.detection_cycles", func() uint64 { return p.detectorStats().DetectionCycles })
+	reg.CounterFunc("spcd.sampler_wakeups", func() uint64 { return p.samplerStats().Wakeups })
+	reg.CounterFunc("spcd.pages_cleared", func() uint64 { return p.samplerStats().PagesCleared })
 	reg.CounterFunc("spcd.page_migrations", func() uint64 { return p.dataMigrations })
 }
 
-// Tick runs the sampler on its own schedule and periodically evaluates the
-// communication matrix through the filter, migrating when it triggers.
-func (p *SPCD) Tick(now uint64) []int {
-	if p.mig.fellBack {
-		// Watchdog fallback (see migrator): SPCD now behaves like the OS
-		// policy — no sampling (so no induced-fault overhead), no
-		// evaluations, no data mapping — for the rest of the run.
-		return nil
+// detectorStats and samplerStats read zeros until Init builds the
+// components.
+func (p *SPCD) detectorStats() (s core.DetectorStats) {
+	if p.detector != nil {
+		s = p.detector.Stats()
 	}
-	if cleared := p.sampler.MaybeRun(now); cleared > 0 {
-		if p.probe != nil {
-			p.probe.Emit(now, "spcd", "sampler.batch", -1,
-				obs.Uint("pages_cleared", uint64(cleared)))
-		}
-		// Injected counter saturation after a batch: respond by halving
-		// the detection counters — the paper's aging operation (§III-B3)
-		// applied as overflow handling — so relative magnitudes survive
-		// and the mapping still sees the dominant pattern.
-		if p.inj.Hit(faultinject.SitePolicySamplerSaturate) {
-			p.detector.Saturate()
-			p.samplerSaturate++
-			if p.probe != nil {
-				p.probe.Emit(now, "spcd", "sampler.saturate", -1,
-					obs.Uint("pages_cleared", uint64(cleared)))
-			}
-		}
+	return s
+}
+
+func (p *SPCD) samplerStats() (s core.SamplerStats) {
+	if p.sampler != nil {
+		s = p.sampler.Stats()
 	}
-	if now < p.nextEval {
-		return nil
+	return s
+}
+
+// sample runs the sampler on its own schedule.
+func (p *SPCD) sample(now uint64) bool {
+	p.cleared = p.sampler.MaybeRun(now)
+	if p.cleared == 0 {
+		return false
 	}
-	p.nextEval += p.evalInterval
+	if p.probe != nil {
+		p.probe.Emit(now, "spcd", "sampler.batch", -1,
+			obs.Uint("pages_cleared", uint64(p.cleared)))
+	}
+	return true
+}
+
+// saturate halves the detection counters: the paper's aging operation
+// (§III-B3) applied as overflow handling.
+func (p *SPCD) saturate(now uint64) {
+	p.detector.Saturate()
+	p.samplerSaturate++
+	if p.probe != nil {
+		p.probe.Emit(now, "spcd", "sampler.saturate", -1,
+			obs.Uint("pages_cleared", uint64(p.cleared)))
+	}
+}
+
+// evaluate runs the data-mapping extension, snapshots and ages the
+// detector, and skips the filter and the mapping algorithm unless enough
+// new communication arrived to possibly change the outcome.
+func (p *SPCD) evaluate(now uint64) *commmatrix.Matrix {
 	if p.opts.DataMapping {
 		// Page placement relies on per-region fault counts, not on
 		// communication events, so it runs on every evaluation tick.
@@ -477,16 +414,13 @@ func (p *SPCD) Tick(now uint64) []int {
 	}
 	p.detector.Decay(decay)
 
-	// Event gate: only run the filter and the mapping algorithm when
-	// enough new communication arrived to possibly change the outcome.
-	minNew := p.opts.MinNewEvents
-	if minNew == 0 {
-		minNew = 2 * p.n
-	}
-	if minNew > 0 && !p.mig.pending() {
+	// Event gate: kernels with little communication (CG, EP) do not pay
+	// filter + matching costs for evaluations that carry fewer than two new
+	// communication events per thread.
+	if !p.pending() {
 		events := p.detector.Stats().CommEvents
 		fresh := events - p.lastEvents
-		if fresh < uint64(minNew) {
+		if fresh < uint64(2*p.n) {
 			// Feedback control of the sampling effort: once a pattern
 			// has been established (at least one productive evaluation),
 			// repeated unproductive evaluations mean the application has
@@ -508,34 +442,17 @@ func (p *SPCD) Tick(now uint64) []int {
 		p.sampler.SetMinBatch(p.configuredFloor)
 		p.lastEvents = events
 	}
+	return matrix
+}
 
-	// The detected matrix is a sampled view of the real communication:
-	// each induced fault samples roughly one access point, so one detected
-	// event stands for about (accesses / induced faults) real co-accesses.
-	// Projected over the accesses still to run, that converts the cost
-	// delta into expected cycles saved (the migrator's benefit gate).
-	scale := 0.0
-	st := p.env.AS.Stats()
-	if st.InducedFaults > 0 {
-		total := float64(p.env.Workload.AccessesPerThread()) * float64(p.n)
-		remaining := total - float64(st.Accesses)
-		if remaining > 0 {
-			scale = remaining / float64(st.InducedFaults)
-		}
-	}
-	aff, err := p.mig.consider(now, matrix, scale)
-	if err != nil {
-		// Tick cannot propagate errors; a mapper failure is surfaced as an
-		// obs event instead of being silently swallowed, and the placement
-		// stays put (the safe outcome).
-		if p.probe != nil {
-			p.probe.Emit(now, "spcd", "evaluate.error", -1, obs.Str("err", err.Error()))
-		}
-		return nil
-	}
-	if aff == nil {
-		return nil
-	}
+// units counts induced faults: each samples roughly one access point, so
+// one detected event stands for about (accesses / induced faults) real
+// co-accesses.
+func (p *SPCD) units(*commmatrix.Matrix) float64 {
+	return float64(p.env.AS.Stats().InducedFaults)
+}
+
+func (p *SPCD) remapped(now uint64, aff []int, matrix *commmatrix.Matrix) {
 	if p.opts.OnMigrate != nil {
 		//lint:ignore determinism-flow OnMigrate is a user-supplied notification hook; it observes remaps after the decision is made and cannot alter policy state.
 		p.opts.OnMigrate(now, append([]int(nil), aff...), matrix)
@@ -544,7 +461,6 @@ func (p *SPCD) Tick(now uint64) []int {
 		p.probe.Emit(now, "spcd", "remap", -1,
 			obs.Float("heterogeneity", matrix.Heterogeneity()))
 	}
-	return aff
 }
 
 // migrateData implements the data-mapping extension: regions whose faults
@@ -566,7 +482,7 @@ func (p *SPCD) migrateData(now uint64) {
 		pageCost = 6000
 	}
 	var failed, dropped, retried uint64
-	backoffBase := maxU64(p.evalInterval/4, 1)
+	backoffBase := max(p.evalInterval/4, 1)
 	// Remap shootdowns (when a mode is armed) are part of what a migration
 	// costs this policy: the initiator-stall delta across this evaluation is
 	// folded into dataMigCycles below, so mapping overhead and the fallback
@@ -615,7 +531,7 @@ func (p *SPCD) migrateData(now uint64) {
 		if owner < 0 || total < 3 || float64(best) < dominance*float64(total) {
 			return
 		}
-		node := p.mach.NodeOf(p.mig.aff[owner])
+		node := p.mach.NodeOf(p.aff[owner])
 		firstPage := (region << granShift) >> p.regionPageShift
 		for i := uint64(0); i < p.pagesPerRegion; i++ {
 			switch p.env.AS.TryMigratePageAt(firstPage+i, node, now) {
@@ -652,10 +568,6 @@ func (p *SPCD) PageRetryDrops() uint64 { return p.pageRetryDrops }
 // sampler absorbed (each answered by halving the detection counters).
 func (p *SPCD) SamplerSaturations() uint64 { return p.samplerSaturate }
 
-// FellBack reports whether the remap watchdog abandoned the mechanism and
-// reverted to the OS placement for the rest of the run.
-func (p *SPCD) FellBack() bool { return p.mig.fellBack }
-
 // Overheads reports the modeled detection and mapping cost (§V-F). Page
 // migration work of the data-mapping extension counts as mapping overhead.
 func (p *SPCD) Overheads() engine.Overheads {
@@ -677,27 +589,7 @@ func (p *SPCD) Sampler() *core.Sampler { return p.sampler }
 // Mapper exposes the mapper (for stats).
 func (p *SPCD) Mapper() *mapping.Mapper { return p.mapper }
 
-// ByName constructs a policy from its report name. SPCD and TLB get
-// paper-default options.
-func ByName(name string) (engine.Policy, error) {
-	switch name {
-	case "os":
-		return NewOS(), nil
-	case "random":
-		return NewRandom(), nil
-	case "oracle":
-		return NewOracle(), nil
-	case "spcd":
-		return NewSPCD(SPCDOptions{}), nil
-	case "tlb":
-		return NewTLB(TLBOptions{}), nil
-	case "hwc":
-		return NewHWC(HWCOptions{}), nil
-	}
-	return nil, fmt.Errorf("policy: unknown policy %q", name)
-}
-
 // Names lists the policies the paper evaluates, in its presentation order.
-// The TLB comparator ("tlb", §VI-B / ref. [22]) is available by name but is
-// not part of the paper's four-way comparison.
+// The TLB and HWC comparators ("tlb", "hwc"; §VI-B) are built by Tuned like
+// the others but are not part of the paper's four-way comparison.
 var Names = []string{"os", "random", "oracle", "spcd"}

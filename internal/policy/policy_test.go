@@ -69,9 +69,11 @@ func TestScatterPartial(t *testing.T) {
 	checkAffinity(t, mach, aff, 5)
 }
 
-func TestByName(t *testing.T) {
-	for _, name := range Names {
-		p, err := ByName(name)
+func TestTunedByName(t *testing.T) {
+	mach := topology.DefaultXeon()
+	w, _ := workloads.NewNPB("SP", 8, workloads.ClassTest)
+	for _, name := range append(append([]string(nil), Names...), "tlb", "hwc") {
+		p, err := Tuned(name, w, mach)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -79,7 +81,7 @@ func TestByName(t *testing.T) {
 			t.Errorf("Name() = %q, want %q", p.Name(), name)
 		}
 	}
-	if _, err := ByName("nonsense"); err == nil {
+	if _, err := Tuned("nonsense", w, mach); err == nil {
 		t.Error("unknown policy should error")
 	}
 }
@@ -203,7 +205,7 @@ func TestSPCDEndToEndImprovesHeterogeneous(t *testing.T) {
 	}
 }
 
-func finalAffinity(p *SPCD) []int { return p.mig.affinity() }
+func finalAffinity(p *SPCD) []int { return p.aff }
 
 func TestSPCDHomogeneousDoesNotThrash(t *testing.T) {
 	mach := topology.DefaultXeon()

@@ -5,198 +5,83 @@ import (
 
 	"spcd/internal/commmatrix"
 	"spcd/internal/engine"
-	"spcd/internal/faultinject"
-	"spcd/internal/mapping"
-	"spcd/internal/obs"
-	"spcd/internal/topology"
-	"spcd/internal/workloads"
 )
 
 // TLB implements the TLB-based communication detection the paper compares
 // against in §VI-B (Cruz, Diener, Navaux — IPDPS 2012, the paper's ref.
 // [22]): a kernel thread periodically reads the TLB contents of every
 // hardware context and counts a unit of communication between the threads
-// of any two contexts whose TLBs hold the same virtual page. It drives the
-// same hierarchical mapping machinery as SPCD, so the two mechanisms differ
-// only in how the matrix is detected.
+// of any two contexts whose TLBs hold the same virtual page. It runs SPCD's
+// evaluate-and-migrate loop, so the two mechanisms differ only in how the
+// matrix is detected.
 //
 // The paper notes that on x86 this mechanism would require hardware
 // modifications (TLBs are not software-readable); the simulated MMU exposes
 // them, which is exactly the hardware hook the authors proposed.
 type TLB struct {
-	opts TLBOptions
-
-	mach   *topology.Machine
-	n      int
-	env    *engine.Env
-	matrix *commmatrix.Matrix
-	mig    *migrator
-
+	estimate
 	scanInterval uint64
 	nextScan     uint64
-	evalInterval uint64
-	nextEval     uint64
-
-	scans      uint64
-	scanCycles uint64
-	mapper     *mapping.Mapper
-
-	inj   *faultinject.Injector
-	probe *obs.Probe // nil unless the run is observed
 }
 
 // TLBOptions tunes the TLB policy.
 type TLBOptions struct {
 	// ScanIntervalCycles is the period of the TLB-comparison kernel
-	// thread; 0 scales it like the SPCD sampler (nominal/64).
+	// thread; 0 selects 10 ms.
 	ScanIntervalCycles uint64
-	// EvalIntervalCycles is the mapping-evaluation period; 0 scales like
-	// SPCD (nominal/8).
+	// EvalIntervalCycles is the mapping-evaluation period; 0 selects 50 ms.
 	EvalIntervalCycles uint64
-	// ScanCostCycles models the kernel work of reading and comparing one
-	// context's TLB (0 selects 400 cycles per context per scan).
-	ScanCostCycles uint64
-	// DecayFactor ages the matrix per evaluation (0 selects 0.9).
-	DecayFactor float64
-	// MinImprovement and MoveCostCycles gate migrations as in SPCD.
-	MinImprovement float64
-	MoveCostCycles float64
-	// InitialPlacement, when non-nil, seeds the migrator with this
-	// placement instead of the OS scatter (see SPCDOptions).
+	// InitialPlacement, when non-nil, is the placement the policy starts
+	// from instead of the OS scatter (see SPCDOptions).
 	InitialPlacement []int
 }
 
+// tlbScanCostCycles models the kernel work of reading and comparing one
+// context's TLB in one scan.
+const tlbScanCostCycles = 400
+
 // NewTLB creates the TLB-detection policy.
-func NewTLB(opts TLBOptions) *TLB { return &TLB{opts: opts} }
-
-// TunedTLBOptions returns the scaled TLB policy options for workload w,
-// using the same ratios as the tuned SPCD policy so comparisons are fair.
-func TunedTLBOptions(w workloads.Workload, m *topology.Machine) TLBOptions {
-	nominal := workloads.NominalCycles(w)
-	return TLBOptions{
-		ScanIntervalCycles: maxU64(nominal/64, 1),
-		EvalIntervalCycles: maxU64(nominal/8, 1),
-		MinImprovement:     0.05,
-	}
+func NewTLB(opts TLBOptions) *TLB {
+	p := &TLB{scanInterval: opts.ScanIntervalCycles}
+	p.detection = detection{name: "tlb", src: p,
+		evalEvery: opts.EvalIntervalCycles, initial: opts.InitialPlacement}
+	return p
 }
 
-// TunedTLB returns a TLB policy with periods scaled to the workload.
-func TunedTLB(w workloads.Workload, m *topology.Machine) *TLB {
-	return NewTLB(TunedTLBOptions(w, m))
-}
-
-// Name implements engine.Policy.
-func (p *TLB) Name() string { return "tlb" }
-
-// Init implements engine.Policy.
-func (p *TLB) Init(env *engine.Env) error {
-	p.mach = env.Machine
-	p.n = env.NumThreads
-	p.env = env
+func (p *TLB) init(env *engine.Env) error {
 	p.matrix = commmatrix.New(env.NumThreads)
-	mp, err := mapping.NewMapper(env.Machine, env.NumThreads, nil)
-	if err != nil {
-		return err
-	}
-	p.mapper = mp
-	initial := p.opts.InitialPlacement
-	if initial == nil {
-		initial = Scatter(env.Machine, env.NumThreads)
-	}
-	p.mig = newMigrator(env.Machine, mp, initial,
-		p.opts.MinImprovement, p.opts.MoveCostCycles)
-
-	p.scanInterval = p.opts.ScanIntervalCycles
 	if p.scanInterval == 0 {
 		p.scanInterval = env.Machine.SecondsToCycles(0.010)
 	}
 	p.nextScan = p.scanInterval
-	p.evalInterval = p.opts.EvalIntervalCycles
-	if p.evalInterval == 0 {
-		p.evalInterval = env.Machine.SecondsToCycles(0.050)
-	}
-	p.nextEval = p.evalInterval
-	p.inj = env.Injector
-	p.mig.configureFaults("tlb", env.Injector, p.probe, maxU64(p.evalInterval/8, 1))
 	return nil
 }
 
-// InitialAffinity implements engine.Policy.
-func (p *TLB) InitialAffinity() []int { return p.mig.affinity() }
-
-// SetProbe implements obs.Observer; the engine calls it before Init on
-// observed runs.
-func (p *TLB) SetProbe(pr *obs.Probe) { p.probe = pr }
-
-// Tick scans TLBs on the scan period and evaluates the matrix on the eval
-// period.
-func (p *TLB) Tick(now uint64) []int {
-	if p.mig.fellBack {
-		// Watchdog fallback (see migrator): stop scanning and evaluating;
-		// the run finishes on the OS placement.
-		return nil
+// sample scans TLBs on the scan period.
+func (p *TLB) sample(now uint64) bool {
+	if now < p.nextScan {
+		return false
 	}
-	if now >= p.nextScan {
-		for now >= p.nextScan {
-			p.nextScan += p.scanInterval
-		}
-		p.scan()
-		// Injected counter saturation after a scan: halve the accumulated
-		// matrix (aging as overflow handling), same response as SPCD.
-		if p.inj.Hit(faultinject.SitePolicySamplerSaturate) {
-			p.matrix.Scale(0.5)
-			if p.probe != nil {
-				p.probe.Emit(now, "tlb", "sampler.saturate", -1)
-			}
-		}
+	for now >= p.nextScan {
+		p.nextScan += p.scanInterval
 	}
-	if now < p.nextEval {
-		return nil
-	}
-	p.nextEval += p.evalInterval
-	decay := p.opts.DecayFactor
-	if decay == 0 {
-		decay = 0.9
-	}
-	snapshot := p.matrix.Copy()
-	p.matrix.Scale(decay)
-	// One TLB-overlap unit stands for sustained sharing over a scan
-	// period; approximate the per-unit access volume by the accesses per
-	// scan spread over the machine.
-	scale := 0.0
-	if p.scans > 0 {
-		st := p.env.AS.Stats()
-		total := float64(p.env.Workload.AccessesPerThread()) * float64(p.n)
-		remaining := total - float64(st.Accesses)
-		if remaining > 0 {
-			scale = remaining / float64(p.scans*uint64(p.n))
-		}
-	}
-	aff, err := p.mig.consider(now, snapshot, scale)
-	if err != nil {
-		// Tick cannot propagate errors; surface the mapper failure as an
-		// obs event rather than swallowing it, and keep the placement.
-		if p.probe != nil {
-			p.probe.Emit(now, "tlb", "evaluate.error", -1, obs.Str("err", err.Error()))
-		}
-		return nil
-	}
-	return aff
+	p.scan()
+	return true
 }
+
+// units counts one unit per thread per scan: one TLB-overlap unit stands
+// for sustained sharing over a scan period, so the per-unit access volume
+// is the accesses per scan spread over the threads.
+func (p *TLB) units(*commmatrix.Matrix) float64 { return float64(p.sweeps * uint64(p.n)) }
 
 // scan compares the TLB contents of all contexts and accumulates
 // communication between threads whose contexts cache the same page.
 func (p *TLB) scan() {
-	p.scans++
-	cost := p.opts.ScanCostCycles
-	if cost == 0 {
-		cost = 400
-	}
-	p.scanCycles += cost * uint64(p.mach.NumContexts())
+	p.sweep(tlbScanCostCycles)
 
 	// thread running on each context under the current placement.
 	threadOn := make(map[int]int, p.n)
-	for th, ctx := range p.mig.aff {
+	for th, ctx := range p.aff {
 		threadOn[ctx] = th
 	}
 	pages := make(map[uint64][]int) // vpn -> threads whose TLB holds it
@@ -228,16 +113,5 @@ func (p *TLB) scan() {
 	}
 }
 
-// Overheads implements engine.Policy: scanning is the detection cost.
-func (p *TLB) Overheads() engine.Overheads {
-	return engine.Overheads{
-		DetectionCycles: p.scanCycles,
-		MappingCycles:   p.mapper.MappingCycles(),
-	}
-}
-
-// FinalMatrix implements engine.Policy.
-func (p *TLB) FinalMatrix() *commmatrix.Matrix { return p.matrix.Copy() }
-
 // Scans returns how many TLB sweeps ran.
-func (p *TLB) Scans() uint64 { return p.scans }
+func (p *TLB) Scans() uint64 { return p.sweeps }

@@ -11,22 +11,28 @@ import (
 )
 
 func TestTLBByNameAndTuned(t *testing.T) {
-	p, err := ByName("tlb")
-	if err != nil || p.Name() != "tlb" {
-		t.Fatalf("ByName(tlb) = %v, %v", p, err)
-	}
 	mach := topology.DefaultXeon()
 	w, _ := workloads.NewNPB("SP", 32, workloads.ClassTest)
-	p2, err := Tuned("tlb", w, mach)
-	if err != nil || p2.Name() != "tlb" {
-		t.Fatalf("Tuned(tlb) = %v, %v", p2, err)
+	p, err := Tuned("tlb", w, mach)
+	if err != nil || p.Name() != "tlb" {
+		t.Fatalf("Tuned(tlb) = %v, %v", p, err)
 	}
+}
+
+// tunedTLB returns the tuned TLB policy for w.
+func tunedTLB(t *testing.T, w workloads.Workload, mach *topology.Machine) *TLB {
+	t.Helper()
+	p, err := Tuned("tlb", w, mach)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.(*TLB)
 }
 
 func TestTLBDetectsCommunication(t *testing.T) {
 	mach := topology.DefaultXeon()
 	w, _ := workloads.NewNPB("SP", 32, workloads.ClassTiny)
-	p := TunedTLB(w, mach)
+	p := tunedTLB(t, w, mach)
 	m, err := engine.Run(engine.Config{Machine: mach, Workload: w, Policy: p, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +60,7 @@ func TestTLBDetectsCommunication(t *testing.T) {
 func TestTLBCanMigrateTowardBetterPlacement(t *testing.T) {
 	mach := topology.DefaultXeon()
 	w, _ := workloads.NewNPB("SP", 32, workloads.ClassTiny)
-	p := TunedTLB(w, mach)
+	p := tunedTLB(t, w, mach)
 	m, err := engine.Run(engine.Config{Machine: mach, Workload: w, Policy: p, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +69,7 @@ func TestTLBCanMigrateTowardBetterPlacement(t *testing.T) {
 		t.Skip("no migration this configuration; detection too weak")
 	}
 	truth := trace.CommunicationMatrix(w, 1, mach.PageSize)
-	final := p.mig.affinity()
+	final := p.aff
 	if mapping.Cost(truth, mach, final) >= mapping.Cost(truth, mach, Scatter(mach, 32)) {
 		t.Error("TLB-driven placement no better than scatter")
 	}
@@ -72,7 +78,7 @@ func TestTLBCanMigrateTowardBetterPlacement(t *testing.T) {
 func TestTLBFinalMatrixIsACopy(t *testing.T) {
 	mach := topology.DefaultXeon()
 	w, _ := workloads.NewNPB("CG", 8, workloads.ClassTest)
-	p := TunedTLB(w, mach)
+	p := tunedTLB(t, w, mach)
 	if _, err := engine.Run(engine.Config{Machine: mach, Workload: w, Policy: p, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"fmt"
+
 	"spcd/internal/core"
 	"spcd/internal/engine"
 	"spcd/internal/topology"
@@ -33,7 +35,7 @@ import (
 func TunedSPCDConfig(w workloads.Workload, m *topology.Machine) core.Config {
 	nominal := workloads.NominalCycles(w)
 	cfg := core.DefaultConfig(m, w.NumThreads())
-	cfg.SamplerInterval = maxU64(nominal/64, 1)
+	cfg.SamplerInterval = max(nominal/64, 1)
 	cfg.TimeWindow = 16 * cfg.SamplerInterval
 	cfg.MinBatch = 24
 	// Coarser detection granularity (§III-C1): at simulation scale the
@@ -52,35 +54,47 @@ func TunedSPCDOptions(w workloads.Workload, m *topology.Machine) SPCDOptions {
 	cfg := TunedSPCDConfig(w, m)
 	return SPCDOptions{
 		Config:             &cfg,
-		EvalIntervalCycles: maxU64(nominal/8, 1),
-		FirstEvalCycles:    maxU64(nominal/12, 1),
-		MinImprovement:     0.05,
+		EvalIntervalCycles: max(nominal/8, 1),
+		FirstEvalCycles:    max(nominal/12, 1),
 	}
 }
 
 // Tuned constructs the named policy with periods scaled to the workload.
 func Tuned(name string, w workloads.Workload, m *topology.Machine) (engine.Policy, error) {
+	return TunedFrom(name, w, m, nil)
+}
+
+// TunedFrom is Tuned with a starting placement: initial, when non-nil, is
+// the thread -> context placement the detection policies (spcd, tlb, hwc)
+// start from instead of the OS scatter. The os, random and oracle policies
+// place threads themselves and ignore it.
+func TunedFrom(name string, w workloads.Workload, m *topology.Machine, initial []int) (engine.Policy, error) {
 	nominal := workloads.NominalCycles(w)
 	switch name {
 	case "os":
 		p := NewOS()
-		p.churnInterval = maxU64(nominal/3, 1)
+		p.churnInterval = max(nominal/3, 1)
 		p.churnProb = 0.35
 		return p, nil
+	case "random":
+		return NewRandom(), nil
+	case "oracle":
+		return NewOracle(), nil
 	case "spcd":
-		return NewSPCD(TunedSPCDOptions(w, m)), nil
+		o := TunedSPCDOptions(w, m)
+		o.InitialPlacement = initial
+		return NewSPCD(o), nil
 	case "tlb":
-		return TunedTLB(w, m), nil
+		return NewTLB(TLBOptions{
+			ScanIntervalCycles: max(nominal/64, 1),
+			EvalIntervalCycles: max(nominal/8, 1),
+			InitialPlacement:   initial,
+		}), nil
 	case "hwc":
-		return TunedHWC(w, m), nil
-	default:
-		return ByName(name)
+		return NewHWC(HWCOptions{
+			EvalIntervalCycles: max(nominal/8, 1),
+			InitialPlacement:   initial,
+		}), nil
 	}
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
+	return nil, fmt.Errorf("policy: unknown policy %q", name)
 }

@@ -5,8 +5,8 @@ import "sort"
 // governorFailureBudget is how many consecutive deferred (budget-truncated)
 // remaps the governor tolerates before it concludes the proposed placements
 // are churning faster than the budget can follow and falls back permanently
-// to the current placement — the same watchdog discipline as the policy
-// migrator's remap-failure budget (internal/policy/migrator.go).
+// to the current placement — the same watchdog discipline as the detection
+// policies' remap-failure budget (internal/policy/detect.go).
 const governorFailureBudget = 6
 
 // governor is the churn governor: every placement change in the serving

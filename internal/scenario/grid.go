@@ -11,11 +11,18 @@ import (
 // at every parallelism: each scenario is a pure function of its spec, jobs
 // only ever write their own result slot (the sweep runner's collection
 // idiom), and nothing is ordered by completion time. A panicking scenario
-// is captured as that job's error; the rest of the batch completes.
+// is captured as that job's error; the rest of the batch completes. A
+// negative parallelism fails every job.
 func RunJobs(specs []Spec, parallelism int) ([]*Report, []error) {
 	n := len(specs)
 	reports := make([]*Report, n)
 	errs := make([]error, n)
+	if parallelism < 0 {
+		for i := range errs {
+			errs[i] = fmt.Errorf("scenario: negative parallelism %d", parallelism)
+		}
+		return reports, errs
+	}
 	if parallelism <= 1 || n <= 1 {
 		for i := range specs {
 			reports[i], errs[i] = runJob(specs[i])

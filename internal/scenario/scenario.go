@@ -639,28 +639,15 @@ type intervalPolicy struct {
 func (r *runner) newIntervalPolicy(comp *composite, initial []int, k int, now uint64) (*intervalPolicy, error) {
 	p := &intervalPolicy{r: r, k: k, now0: now, cur: append([]int(nil), initial...)}
 	switch r.s.Policy {
-	case "static":
-		p.mode = "static"
-	case "os":
-		p.mode = "os"
+	case "static", "os":
+		p.mode = r.s.Policy
 	default:
 		p.mode = "detect"
-		switch r.s.Policy {
-		case "spcd":
-			o := policy.TunedSPCDOptions(comp, r.mach)
-			o.InitialPlacement = initial
-			p.inner = policy.NewSPCD(o)
-		case "tlb":
-			o := policy.TunedTLBOptions(comp, r.mach)
-			o.InitialPlacement = initial
-			p.inner = policy.NewTLB(o)
-		case "hwc":
-			o := policy.TunedHWCOptions(comp, r.mach)
-			o.InitialPlacement = initial
-			p.inner = policy.NewHWC(o)
-		default:
-			return nil, fmt.Errorf("scenario: unknown policy %q", r.s.Policy)
+		inner, err := policy.TunedFrom(r.s.Policy, comp, r.mach, initial)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: %w", err)
 		}
+		p.inner = inner
 	}
 	return p, nil
 }

@@ -71,7 +71,7 @@ type Spec struct {
 	// duration.
 	IntervalCycles uint64
 	// MaxIntervals bounds the scenario (a watchdog against schedules that
-	// cannot drain); 0 selects 1024.
+	// cannot drain); 0 selects 1024, negative is an error.
 	MaxIntervals int
 	// MigrationBudget is the churn governor's hard cap on thread moves per
 	// interval; 0 selects 4.
@@ -85,7 +85,7 @@ type Spec struct {
 	IntervalDecay float64
 	// Shards selects the engine for each interval: 0 sequential, >= 1 the
 	// epoch-sharded engine with that many workers (byte-identical at any
-	// worker count, see engine.Config.Shards).
+	// worker count, see engine.Config.Shards), negative an error.
 	Shards int
 	// Probe, when non-nil, records the scenario's adaptation events
 	// (admission decisions, remaps, governor deferrals) at global virtual
@@ -181,6 +181,9 @@ func (s Spec) normalize() (Spec, error) {
 	if s.MaxIntervals == 0 {
 		s.MaxIntervals = 1024
 	}
+	if s.MaxIntervals < 0 {
+		return s, fmt.Errorf("scenario: negative max intervals %d", s.MaxIntervals)
+	}
 	if s.MigrationBudget == 0 {
 		s.MigrationBudget = 4
 	}
@@ -190,13 +193,13 @@ func (s Spec) normalize() (Spec, error) {
 	if s.ChurnDecay == 0 {
 		s.ChurnDecay = 0.5
 	}
-	if s.ChurnDecay < 0 || s.ChurnDecay > 1 {
+	if !(s.ChurnDecay >= 0 && s.ChurnDecay <= 1) { // NaN fails both
 		return s, fmt.Errorf("scenario: churn decay %g outside [0, 1]", s.ChurnDecay)
 	}
 	if s.IntervalDecay == 0 {
 		s.IntervalDecay = 0.7
 	}
-	if s.IntervalDecay < 0 || s.IntervalDecay > 1 {
+	if !(s.IntervalDecay >= 0 && s.IntervalDecay <= 1) {
 		return s, fmt.Errorf("scenario: interval decay %g outside [0, 1]", s.IntervalDecay)
 	}
 	return s, nil

@@ -211,8 +211,8 @@ type Runner struct {
 	MasterSeed int64
 
 	// Parallelism bounds the worker pool: 0 selects GOMAXPROCS, 1 runs the
-	// sweep sequentially (today's single-stream path). Results do not
-	// depend on it.
+	// sweep sequentially (today's single-stream path), negative is an
+	// error. Results do not depend on it.
 	Parallelism int
 
 	// Seeder overrides the derived seed per config (nil selects
@@ -273,8 +273,11 @@ func (r *Runner) Run(configs []Config) ([]Result, error) {
 	if r.Machine == nil {
 		return nil, errors.New("sweep: Machine is required")
 	}
+	if r.Parallelism < 0 {
+		return nil, fmt.Errorf("sweep: negative Parallelism %d", r.Parallelism)
+	}
 	workers := r.Parallelism
-	if workers <= 0 {
+	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(configs) {

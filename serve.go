@@ -107,9 +107,9 @@ func (e Experiment) Scenario(spec Scenario) (*ScenarioResults, error) {
 	if len(policies) == 0 {
 		policies = ScenarioPolicyNames
 	}
-	reps := e.Reps
-	if reps <= 0 {
-		reps = 3
+	reps, err := orDefault("Experiment.Reps", e.Reps, 3)
+	if err != nil {
+		return nil, err
 	}
 	specs := make([]Scenario, 0, len(policies)*reps)
 	for _, name := range policies {

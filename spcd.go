@@ -134,7 +134,7 @@ func ProducerConsumer(threads int, class Class, phases int, phaseLength uint64) 
 }
 
 // PolicyNames lists the four evaluated policies: "os", "random", "oracle",
-// "spcd".
+// "spcd". Run also accepts the §VI-B comparators "tlb" and "hwc".
 var PolicyNames = policy.Names
 
 // Metrics is the outcome of one simulated run.
@@ -145,10 +145,11 @@ type Metrics = engine.Metrics
 type RunOptions struct {
 	// Shards selects the engine: 0 is the sequential engine; >= 1 runs the
 	// epoch-sharded engine with that many intra-run workers, clamped to the
-	// machine's core count. Sharded results are byte-identical for every
-	// worker count, but they intentionally differ from the sequential
-	// engine's: cross-core cache coherence and page-fault effects land at
-	// epoch boundaries instead of instantly (see DESIGN.md §13).
+	// machine's core count; negative is an error. Sharded results are
+	// byte-identical for every worker count, but they intentionally differ
+	// from the sequential engine's: cross-core cache coherence and
+	// page-fault effects land at epoch boundaries instead of instantly (see
+	// DESIGN.md §13).
 	Shards int
 	// Faults is a fault-injection plan. Its fault sites fire at
 	// deterministic virtual-time points derived from (plan seed, run seed),

@@ -28,24 +28,25 @@ type Sweep struct {
 	Kernels []string
 	// Class defaults to ClassSmall.
 	Class Class
-	// Threads defaults to 32, the paper's thread count.
+	// Threads defaults to 32, the paper's thread count; negative is an
+	// error.
 	Threads int
 	// Policies defaults to PolicyNames.
 	Policies []string
-	// Reps defaults to 3 (the paper uses 10).
+	// Reps defaults to 3 (the paper uses 10); negative is an error.
 	Reps int
 
 	// MasterSeed feeds the per-experiment seed derivation.
 	MasterSeed int64
 	// Parallelism bounds concurrent experiments: 0 selects GOMAXPROCS, 1
-	// runs sequentially. Results do not depend on it.
+	// runs sequentially, negative is an error. Results do not depend on it.
 	Parallelism int
 	// Shards selects each experiment's engine: 0 (the default) runs the
 	// sequential engine; >= 1 runs the epoch-sharded engine with that many
-	// intra-run workers. Sharded results are byte-identical for every value
-	// >= 1 (but intentionally differ from the sequential engine; see
-	// DESIGN.md §13). The total worker count is roughly
-	// Parallelism × Shards, so keep the product near GOMAXPROCS.
+	// intra-run workers; negative is an error. Sharded results are
+	// byte-identical for every value >= 1 (but intentionally differ from
+	// the sequential engine; see DESIGN.md §13). The total worker count is
+	// roughly Parallelism × Shards, so keep the product near GOMAXPROCS.
 	Shards int
 
 	// Seeder, when set, overrides the derived per-run seed. It must be a
@@ -125,17 +126,17 @@ func (s Sweep) Run() (*SweepResults, error) {
 	if class.Name == "" {
 		class = ClassSmall
 	}
-	threads := s.Threads
-	if threads <= 0 {
-		threads = 32
+	threads, err := orDefault("Sweep.Threads", s.Threads, 32)
+	if err != nil {
+		return nil, err
 	}
 	policies := s.Policies
 	if len(policies) == 0 {
 		policies = PolicyNames
 	}
-	reps := s.Reps
-	if reps <= 0 {
-		reps = 3
+	reps, err := orDefault("Sweep.Reps", s.Reps, 3)
+	if err != nil {
+		return nil, err
 	}
 
 	configs := sweep.Product(suite, kernels, class, threads, policies, reps)
