@@ -57,12 +57,14 @@ bench-smoke:
 # FuzzApplyStreams checks the sharded engine's barrier merge of per-thread
 # cache event streams against a sort-and-apply reference. FuzzReadMatrixCSV
 # checks that the matrix CSV reader never panics and accepts only
-# communication matrices that round-trip. Each seed corpus is the package's
-# testdata/fuzz; a crasher the fuzzer finds lands there too and then runs on
-# every `go test`.
+# communication matrices that round-trip. FuzzHierarchy checks the cache
+# hierarchy's MESI invariants and counter identities under random access
+# sequences. Each seed corpus is the package's testdata/fuzz; a crasher the
+# fuzzer finds lands there too and then runs on every `go test`.
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzApplyStreams -fuzztime 20s ./internal/cache
 	go test -run '^$$' -fuzz FuzzReadMatrixCSV -fuzztime 10s ./internal/commmatrix
+	go test -run '^$$' -fuzz FuzzHierarchy -fuzztime 10s ./internal/cache
 
 # The smoke grids, each defined once and shared by the targets below.
 # OBS_GRID is the traced spcdobs run (obs-smoke, runtimeobs-smoke add the

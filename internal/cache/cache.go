@@ -97,19 +97,33 @@ func (s Stats) C2CTotal() uint64 { return s.C2CSameSocket + s.C2CCrossSocket }
 // DRAMTotal returns all DRAM accesses.
 func (s Stats) DRAMTotal() uint64 { return s.DRAMLocal + s.DRAMRemote }
 
-// array is one physical set-associative cache with LRU replacement. The
-// valid and dirty bits are packed bitsets (one bit per slot) so a set's
-// metadata shares a cache line with its neighbors instead of spanning a
-// []bool, and the set-base computation is a mask when the set count is a
-// power of two (it is, for every realistic geometry).
+// array is one physical set-associative cache with LRU replacement. Tags
+// and stamps live in their own slices: find reads only tags and the victim
+// scan reads only stamps, so each scan walks one contiguous run of words.
+//
+//   - tags[i] holds line+1, so 0 marks an empty slot and validity needs no
+//     bit of its own.
+//   - stamp[i] is the clock value of the slot's last fill or hit. The clock
+//     is incremented before every use, so a resident line's stamp is at
+//     least 1; an emptied slot gets stamp 0.
+//   - dirty is a packed bitset, one bit per slot.
+//
+// The victim rule is part of the deterministic simulation contract: the
+// first empty slot, else the least recently used. Stamp 0 makes that one
+// rule, "the first slot holding the set's minimum stamp": an empty slot's
+// 0 is below every resident stamp, so the first minimum is the first empty
+// slot when there is one, and otherwise the lowest resident stamp (stamps
+// are unique, since every refresh takes a fresh clock value).
+//
+// The set-base computation is a mask when the set count is a power of two
+// (it is, for every realistic geometry).
 type array struct {
 	sets, ways int
 	setMask    uint64 // sets-1 when sets is a power of two
 	pow2       bool
-	tags       []uint64
-	valid      []uint64 // packed: bit i = slot i
+	tags       []uint64 // line+1, 0 = empty
 	dirty      []uint64 // packed: bit i = slot i
-	stamp      []uint64
+	stamp      []uint64 // LRU clock of the last fill or hit, 0 = empty
 	clock      uint64
 }
 
@@ -127,7 +141,6 @@ func newArray(geom topology.CacheGeometry, lineSize int) *array {
 		setMask: uint64(sets - 1),
 		pow2:    sets&(sets-1) == 0,
 		tags:    make([]uint64, n),
-		valid:   make([]uint64, (n+63)/64),
 		dirty:   make([]uint64, (n+63)/64),
 		stamp:   make([]uint64, n),
 	}
@@ -141,87 +154,76 @@ func (a *array) setBase(line uint64) int {
 	return int(line%uint64(a.sets)) * a.ways
 }
 
-func (a *array) isValid(i int) bool { return a.valid[i>>6]&(1<<(uint(i)&63)) != 0 }
-func (a *array) setValid(i int)     { a.valid[i>>6] |= 1 << (uint(i) & 63) }
-func (a *array) clearValid(i int)   { a.valid[i>>6] &^= 1 << (uint(i) & 63) }
 func (a *array) isDirty(i int) bool { return a.dirty[i>>6]&(1<<(uint(i)&63)) != 0 }
 func (a *array) setDirty(i int)     { a.dirty[i>>6] |= 1 << (uint(i) & 63) }
 func (a *array) clearDirty(i int)   { a.dirty[i>>6] &^= 1 << (uint(i) & 63) }
 
-// find returns the slot holding line, or -1. The tag is compared before the
-// valid bit: tags of invalid slots are stale but a match is rare, so the
-// common-case iteration touches only the tag array.
+// find returns the slot holding line, or -1. It reads only the set's tags.
+// Callers act on the returned slot (touch, setDirty, empty) rather than
+// scanning the set again.
 func (a *array) find(line uint64) int {
 	base := a.setBase(line)
-	for i := base; i < base+a.ways; i++ {
-		if a.tags[i] == line && a.isValid(i) {
-			return i
+	tag := line + 1
+	for i, t := range a.tags[base : base+a.ways] {
+		if t == tag {
+			return base + i
 		}
 	}
 	return -1
 }
 
-// lookup probes for line and refreshes its LRU stamp on a hit.
-func (a *array) lookup(line uint64) bool {
-	if i := a.find(line); i >= 0 {
-		a.clock++
-		a.stamp[i] = a.clock
-		return true
-	}
-	return false
-}
-
-// probe checks residency without disturbing LRU state.
-func (a *array) probe(line uint64) bool { return a.find(line) >= 0 }
-
-// markDirty sets the dirty bit of a resident line.
-func (a *array) markDirty(line uint64) {
-	if i := a.find(line); i >= 0 {
-		a.setDirty(i)
-	}
-}
-
-// insert places line, evicting the LRU way if the set is full. It returns
-// the evicted line and whether one was evicted (and dirty). Victim choice
-// (first invalid slot, else lowest stamp in slot order) is part of the
-// deterministic simulation contract — do not reorder.
-func (a *array) insert(line uint64, dirty bool) (evicted uint64, evictedDirty, hadEviction bool) {
-	base := a.setBase(line)
-	victim := base
-	for w := 0; w < a.ways; w++ {
-		i := base + w
-		if !a.isValid(i) {
-			victim = i
-			break
-		}
-		if a.stamp[i] < a.stamp[victim] {
-			victim = i
-		}
-	}
-	if a.isValid(victim) {
-		evicted = a.tags[victim]
-		evictedDirty = a.isDirty(victim)
-		hadEviction = true
-	}
+// touch refreshes slot i's LRU stamp.
+func (a *array) touch(i int) {
 	a.clock++
-	a.tags[victim] = line
-	a.setValid(victim)
-	if dirty {
-		a.setDirty(victim)
-	} else {
-		a.clearDirty(victim)
-	}
-	a.stamp[victim] = a.clock
-	return evicted, evictedDirty, hadEviction
+	a.stamp[i] = a.clock
+}
+
+// empty removes the line in slot i, reporting whether it was dirty.
+func (a *array) empty(i int) (wasDirty bool) {
+	a.tags[i] = 0
+	a.stamp[i] = 0
+	return a.isDirty(i)
 }
 
 // invalidate removes line if resident, reporting whether it was dirty.
 func (a *array) invalidate(line uint64) (wasDirty, was bool) {
 	if i := a.find(line); i >= 0 {
-		a.clearValid(i)
-		return a.isDirty(i), true
+		return a.empty(i), true
 	}
 	return false, false
+}
+
+// insert places line, which the caller knows is absent, in the set's
+// victim slot: the first slot holding the set's minimum stamp (see array).
+// It returns the evicted line and whether one was evicted (and dirty).
+// The minimum is taken without branches (min compiles to a conditional
+// move), which beats a data-dependent first-minimum loop; a second pass
+// finds its first slot.
+func (a *array) insert(line uint64, dirty bool) (evicted uint64, evictedDirty, hadEviction bool) {
+	base := a.setBase(line)
+	stamps := a.stamp[base : base+a.ways]
+	low := stamps[0]
+	for _, s := range stamps[1:] {
+		low = min(low, s)
+	}
+	victim := base
+	for i, s := range stamps {
+		if s == low {
+			victim = base + i
+			break
+		}
+	}
+	if t := a.tags[victim]; t != 0 {
+		evicted, evictedDirty, hadEviction = t-1, a.isDirty(victim), true
+	}
+	a.tags[victim] = line + 1
+	if dirty {
+		a.setDirty(victim)
+	} else {
+		a.clearDirty(victim)
+	}
+	a.touch(victim)
+	return evicted, evictedDirty, hadEviction
 }
 
 // dirEntry is the directory state of one cache line. The owner core is
@@ -428,16 +430,24 @@ func (h *Hierarchy) evictPrivate(core int, line uint64, dirty bool) {
 	}
 }
 
-// fillL3 inserts a line into socket s's L3, handling inclusive back-
-// invalidation of the socket's private caches when the L3 evicts.
+// fillL3 places a line in socket s's L3: a resident line is refreshed (and
+// dirtied by a dirty fill), an absent one is inserted by insertL3.
 func (h *Hierarchy) fillL3(socket int, line uint64, dirty bool) {
-	if h.l3[socket].probe(line) {
+	a := h.l3[socket]
+	if i := a.find(line); i >= 0 {
 		if dirty {
-			h.l3[socket].markDirty(line)
+			a.setDirty(i)
 		}
-		h.l3[socket].lookup(line) // refresh LRU
+		a.touch(i)
 		return
 	}
+	h.insertL3(socket, line, dirty)
+}
+
+// insertL3 inserts a line the caller knows is absent from socket s's L3,
+// handling inclusive back-invalidation of the socket's private caches when
+// the L3 evicts.
+func (h *Hierarchy) insertL3(socket int, line uint64, dirty bool) {
 	evicted, _, had := h.l3[socket].insert(line, dirty)
 	if !had {
 		return
@@ -457,8 +467,8 @@ func (h *Hierarchy) fillL3(socket int, line uint64, dirty bool) {
 	}
 }
 
-// fillPrivate inserts a line into core c's L1, spilling L1 victims into L2
-// and L2 victims out of the core.
+// fillPrivate records core c as a sharer of line and inserts the line into
+// its private caches, evicting the L2's victim out of the core.
 func (h *Hierarchy) fillPrivate(core int, line uint64, dirty bool) {
 	e := h.entry(line)
 	e.sharers |= 1 << uint(core)
@@ -467,13 +477,21 @@ func (h *Hierarchy) fillPrivate(core int, line uint64, dirty bool) {
 	if dirty {
 		e.setOwner(core)
 	}
-	v1, d1, had1 := h.l1[core].insert(line, dirty)
-	if had1 && v1 != line {
-		v2, d2, had2 := h.l2[core].insert(v1, d1)
-		if had2 && v2 != v1 {
-			h.evictPrivate(core, v2, d2)
-		}
+	if v, d, ok := h.fillL1(core, line, dirty); ok {
+		h.evictPrivate(core, v, d)
 	}
+}
+
+// fillL1 inserts a line absent from core c's private caches into its L1,
+// spilling the L1 victim into L2 (absent there too: L1 and L2 are
+// exclusive). It returns the line the L2 evicted out of the core, if any;
+// the caller decides what leaving the core means.
+func (h *Hierarchy) fillL1(core int, line uint64, dirty bool) (out uint64, outDirty, had bool) {
+	v1, d1, had1 := h.l1[core].insert(line, dirty)
+	if !had1 {
+		return 0, false, false
+	}
+	return h.l2[core].insert(v1, d1)
 }
 
 // classify determines the miss class for core c per the directory history.
@@ -533,8 +551,7 @@ func (h *Hierarchy) AccessFast(ctx int, addr uint64, write bool) (cycles int, ok
 		e.setOwner(core)
 		h.stats.Writes++
 	}
-	a.clock++
-	a.stamp[i] = a.clock
+	a.touch(i)
 	h.stats.Accesses++
 	h.stats.L1Hits++
 	h.stats.StallCycles += uint64(h.mach.Lat.L1)
@@ -547,31 +564,32 @@ func (h *Hierarchy) resolve(ctx, core, socket int, line uint64, write bool, node
 
 	// Private hit path. The directory is authoritative for coherence; the
 	// arrays are authoritative for residency (they agree by construction).
-	if h.l1[core].lookup(line) {
+	// Each level's set is scanned once: the hit's slot is refreshed,
+	// dirtied or emptied in place.
+	l1 := h.l1[core]
+	if i := l1.find(line); i >= 0 {
+		l1.touch(i)
 		h.stats.L1Hits++
 		if write {
-			h.l1[core].markDirty(line)
+			l1.setDirty(i)
 			h.invalidateOthers(e, core, line)
 			e.setOwner(core)
 		}
 		return AccessResult{Cycles: m.Lat.L1, Level: HitL1}
 	}
 	h.stats.L1Misses++
-	if h.l2[core].lookup(line) {
+	if i := h.l2[core].find(line); i >= 0 {
 		h.stats.L2Hits++
-		// Promote into L1.
-		dirty, _ := h.l2[core].invalidate(line)
+		// Promote into L1. The L2 copy leaves, so its LRU refresh would
+		// be dead; only the dirty bit travels.
+		dirty := h.l2[core].empty(i)
 		if write {
 			h.invalidateOthers(e, core, line)
 			e.setOwner(core)
 			dirty = true
 		}
-		v1, d1, had1 := h.l1[core].insert(line, dirty)
-		if had1 && v1 != line {
-			v2, d2, had2 := h.l2[core].insert(v1, d1)
-			if had2 && v2 != v1 {
-				h.evictPrivate(core, v2, d2)
-			}
+		if v, d, ok := h.fillL1(core, line, dirty); ok {
+			h.evictPrivate(core, v, d)
 		}
 		return AccessResult{Cycles: m.Lat.L2, Level: HitL2}
 	}
@@ -622,7 +640,9 @@ func (h *Hierarchy) resolve(ctx, core, socket int, line uint64, write bool, node
 	}
 
 	// Local L3?
-	if h.l3[socket].lookup(line) {
+	l3 := h.l3[socket]
+	if i := l3.find(line); i >= 0 {
+		l3.touch(i)
 		h.stats.L3Hits++
 		if write {
 			h.invalidateOthers(e, core, line)
@@ -631,20 +651,22 @@ func (h *Hierarchy) resolve(ctx, core, socket int, line uint64, write bool, node
 		return AccessResult{Cycles: m.Lat.L3, Level: HitL3, Miss: miss}
 	}
 	h.stats.L3Misses++
+	// From here on the local L3 is known not to hold the line (nothing
+	// below touches it before the fill), so the fill skips fillL3's probe.
 
 	// Remote socket's L3 (clean sharing across sockets)?
 	for s := 0; s < m.Sockets; s++ {
 		if s == socket {
 			continue
 		}
-		if h.l3[s].probe(line) {
+		if i := h.l3[s].find(line); i >= 0 {
 			h.stats.C2CCrossSocket++
 			if write {
 				h.invalidateOthers(e, core, line)
 				// The remote L3 copy becomes stale on a write.
-				h.l3[s].invalidate(line)
+				h.l3[s].empty(i)
 			}
-			h.fillL3(socket, line, false)
+			h.insertL3(socket, line, false)
 			h.fillPrivate(core, line, write)
 			return AccessResult{Cycles: m.Lat.C2CCrossSocket, Level: HitC2C, CrossSocket: true, Miss: miss}
 		}
@@ -663,7 +685,7 @@ func (h *Hierarchy) resolve(ctx, core, socket int, line uint64, write bool, node
 	if write {
 		h.invalidateOthers(e, core, line)
 	}
-	h.fillL3(socket, line, false)
+	h.insertL3(socket, line, false)
 	h.fillPrivate(core, line, write)
 	return AccessResult{Cycles: cycles, Level: HitDRAM, CrossSocket: cross, Miss: miss}
 }

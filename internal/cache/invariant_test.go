@@ -17,11 +17,11 @@ func (h *Hierarchy) checkConsistency() error {
 	type residency struct{ l1, l2 bool }
 	resident := make(map[uint64]map[int]*residency)
 	record := func(a *array, core int, isL1 bool) {
-		for i := 0; i < a.sets*a.ways; i++ {
-			if !a.isValid(i) {
+		for _, tag := range a.tags {
+			if tag == 0 {
 				continue
 			}
-			line := a.tags[i]
+			line := tag - 1
 			if resident[line] == nil {
 				resident[line] = make(map[int]*residency)
 			}
@@ -149,5 +149,129 @@ func TestPairCountersDisabledByDefault(t *testing.T) {
 	h.EnablePairCounters() // idempotent
 	if h.PairC2C() == nil {
 		t.Error("pair counters missing after enable")
+	}
+}
+
+// hierarchyChecker replays fuzzer-chosen accesses on a reused hierarchy:
+// base is a warmed tinyMachine hierarchy and h is reset to it for every
+// input, so the directory chunk is allocated once.
+type hierarchyChecker struct {
+	m       *topology.Machine
+	lines   []uint64
+	base, h *Hierarchy
+}
+
+func newHierarchyChecker() *hierarchyChecker {
+	m := tinyMachine()
+	c := &hierarchyChecker{m: m, base: New(m), h: New(m)}
+	c.lines = collidingLines(c.base)
+	warm(c.base)
+	return c
+}
+
+// checkCounters verifies the counter identities every access must keep:
+// each access is an L1 hit or miss, each L1 miss an L2 hit or miss, each
+// L2 miss has exactly one miss class and is supplied by exactly one of the
+// L3, another cache or DRAM, and StallCycles is the sum of the latencies
+// returned since start.
+func checkCounters(s Stats, start, returned uint64) error {
+	switch {
+	case s.Accesses != s.L1Hits+s.L1Misses:
+		return fmt.Errorf("Accesses %d != L1Hits %d + L1Misses %d", s.Accesses, s.L1Hits, s.L1Misses)
+	case s.L1Misses != s.L2Hits+s.L2Misses:
+		return fmt.Errorf("L1Misses %d != L2Hits %d + L2Misses %d", s.L1Misses, s.L2Hits, s.L2Misses)
+	case s.ColdMisses+s.CapacityMisses+s.InvalidationMisses != s.L2Misses:
+		return fmt.Errorf("miss classes %d+%d+%d != L2Misses %d",
+			s.ColdMisses, s.CapacityMisses, s.InvalidationMisses, s.L2Misses)
+	case s.L2Misses != s.L3Hits+s.C2CTotal()+s.DRAMTotal():
+		return fmt.Errorf("L2Misses %d != L3Hits %d + C2C %d + DRAM %d",
+			s.L2Misses, s.L3Hits, s.C2CTotal(), s.DRAMTotal())
+	case s.StallCycles-start != returned:
+		return fmt.Errorf("StallCycles grew by %d, accesses returned %d cycles", s.StallCycles-start, returned)
+	}
+	return nil
+}
+
+// checkOwners verifies that every owned line in the pool has its owner as
+// its only sharer (MESI's M state is exclusive).
+func (c *hierarchyChecker) checkOwners() error {
+	for _, line := range c.lines {
+		e := c.h.peekEntry(line)
+		if ow := e.owner(); ow >= 0 && e.sharers != 1<<uint(ow) {
+			return fmt.Errorf("line %#x owned by core %d but sharers are %#x", line, ow, e.sharers)
+		}
+	}
+	return nil
+}
+
+// run replays the accesses draw chooses, falling back from AccessFast to
+// Access as the engine does. It checks the counters and owners after every
+// access, and runs checkConsistency after every consistencyEvery accesses
+// and after the last.
+func (c *hierarchyChecker) run(draw func(n int) int, ops, consistencyEvery int) error {
+	restore(c.h, c.base)
+	h := c.h
+	start := h.stats.StallCycles
+	var returned uint64
+	for op := 0; op < ops; op++ {
+		ctx := draw(c.m.NumContexts())
+		addr := c.lines[draw(len(c.lines))] << h.lineShift
+		write := draw(2) == 1
+		node := draw(c.m.Sockets)
+		cycles, ok := h.AccessFast(ctx, addr, write)
+		if !ok {
+			cycles = h.Access(ctx, addr, write, node).Cycles
+		}
+		returned += uint64(cycles)
+		if err := checkCounters(h.stats, start, returned); err != nil {
+			return fmt.Errorf("op %d: %v", op, err)
+		}
+		if err := c.checkOwners(); err != nil {
+			return fmt.Errorf("op %d: %v", op, err)
+		}
+		if (op+1)%consistencyEvery == 0 || op == ops-1 {
+			if err := h.checkConsistency(); err != nil {
+				return fmt.Errorf("op %d: %v", op, err)
+			}
+		}
+	}
+	return nil
+}
+
+// FuzzHierarchy's bounds. checkConsistency scans a whole 32Ki-entry
+// directory chunk, which dominates an exec, so an input is at most 64
+// accesses with a full check every 32: that keeps execs, and the
+// minimizer's quadratic retries of an interesting input, cheap enough for
+// a 10 s smoke run to explore. TestHierarchyInvariants checks every 8
+// accesses on longer sequences.
+const (
+	fuzzHierarchyOps         = 64
+	fuzzHierarchyConsistency = 32
+)
+
+// FuzzHierarchy checks the MESI invariants under fuzzer-chosen access
+// sequences on tinyMachine, whose few-set caches overflow at every level
+// with collidingLines. Every four bytes are one access (context, line,
+// write, node), up to fuzzHierarchyOps accesses. The seed corpus is in
+// testdata/fuzz/FuzzHierarchy.
+func FuzzHierarchy(f *testing.F) {
+	c := newHierarchyChecker()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ops := min((len(data)+3)/4, fuzzHierarchyOps)
+		if err := c.run(byteDraw(data), ops, fuzzHierarchyConsistency); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestHierarchyInvariants runs FuzzHierarchy's checks on seeded random
+// access sequences, longer than the corpus entries.
+func TestHierarchyInvariants(t *testing.T) {
+	c := newHierarchyChecker()
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		if err := c.run(rng.Intn, 2000, 8); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 	}
 }

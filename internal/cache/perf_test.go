@@ -45,6 +45,28 @@ func TestAccessSteadyStateAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(5, sweep); n != 0 {
 		t.Errorf("steady-state miss/fill sweep allocates %.1f objects, want 0", n)
 	}
+
+	// The worker-side view: the same sweep as one epoch of the sharded
+	// engine. Threads 0 and 16 access through Shard.Access, and the barrier
+	// merge applies and truncates their streams. After one warm epoch has
+	// grown the streams, an epoch allocates nothing.
+	streams := make([][]Event, h.mach.NumContexts())
+	s := h.NewShard(streams)
+	var vtime uint64
+	epoch := func() {
+		for i := 0; i < lines; i++ {
+			addr := uint64(i) * 64
+			s.Access(0, addr, i%5 == 0, 0, vtime, 0)
+			s.Access(16, addr, i%7 == 0, 1, vtime, 16)
+			vtime++
+		}
+		s.MergeStats()
+		h.ApplyStreams(streams)
+	}
+	epoch()
+	if n := testing.AllocsPerRun(5, epoch); n != 0 {
+		t.Errorf("steady-state Shard.Access epoch allocates %.1f objects, want 0", n)
+	}
 }
 
 func BenchmarkAccessL1Hit(b *testing.B) {

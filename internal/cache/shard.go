@@ -114,13 +114,8 @@ func (s *Shard) emit(vtime uint64, thread int, kind EventKind, core int, line ui
 // spill become events.
 func (s *Shard) fillPrivateLocal(vtime uint64, thread, core int, line uint64, write bool) {
 	s.emit(vtime, thread, EvFillDir, core, line, write)
-	h := s.h
-	v1, d1, had1 := h.l1[core].insert(line, write)
-	if had1 && v1 != line {
-		v2, d2, had2 := h.l2[core].insert(v1, d1)
-		if had2 && v2 != v1 {
-			s.emit(vtime, thread, EvEvict, core, v2, d2)
-		}
+	if v, d, ok := s.h.fillL1(core, line, write); ok {
+		s.emit(vtime, thread, EvEvict, core, v, d)
 	}
 }
 
@@ -141,29 +136,27 @@ func (s *Shard) Access(ctx int, addr uint64, write bool, node int, vtime uint64,
 	}
 
 	// Private L1 hit against the live (worker-owned) array.
-	if h.l1[core].lookup(line) {
+	l1 := h.l1[core]
+	if i := l1.find(line); i >= 0 {
+		l1.touch(i)
 		s.stats.L1Hits++
 		if write {
-			h.l1[core].markDirty(line)
+			l1.setDirty(i)
 			s.emit(vtime, thread, EvUpgrade, core, line, true)
 		}
 		s.stats.StallCycles += uint64(m.Lat.L1)
 		return m.Lat.L1
 	}
 	s.stats.L1Misses++
-	if h.l2[core].lookup(line) {
+	if i := h.l2[core].find(line); i >= 0 {
 		s.stats.L2Hits++
-		dirty, _ := h.l2[core].invalidate(line)
+		dirty := h.l2[core].empty(i)
 		if write {
 			s.emit(vtime, thread, EvUpgrade, core, line, true)
 			dirty = true
 		}
-		v1, d1, had1 := h.l1[core].insert(line, dirty)
-		if had1 && v1 != line {
-			v2, d2, had2 := h.l2[core].insert(v1, d1)
-			if had2 && v2 != v1 {
-				s.emit(vtime, thread, EvEvict, core, v2, d2)
-			}
+		if v, d, ok := h.fillL1(core, line, dirty); ok {
+			s.emit(vtime, thread, EvEvict, core, v, d)
 		}
 		s.stats.StallCycles += uint64(m.Lat.L2)
 		return m.Lat.L2
@@ -207,8 +200,8 @@ func (s *Shard) Access(ctx int, addr uint64, write bool, node int, vtime uint64,
 		return cycles
 	}
 
-	// Local socket L3, frozen image (probe does not disturb LRU).
-	if h.l3[socket].probe(line) {
+	// Local socket L3, frozen image (find does not disturb LRU).
+	if h.l3[socket].find(line) >= 0 {
 		s.stats.L3Hits++
 		if write {
 			s.emit(vtime, thread, EvInvalOthers, core, line, false)
@@ -225,7 +218,7 @@ func (s *Shard) Access(ctx int, addr uint64, write bool, node int, vtime uint64,
 		if sk == socket {
 			continue
 		}
-		if h.l3[sk].probe(line) {
+		if h.l3[sk].find(line) >= 0 {
 			s.stats.C2CCrossSocket++
 			if write {
 				s.emit(vtime, thread, EvInvalOthers, core, line, false)
@@ -403,13 +396,10 @@ func (h *Hierarchy) applyEvent(ev *Event) {
 		h.entry(ev.Line).clearOwner()
 		h.fillL3(ownerCore/h.mach.CoresPerSocket, ev.Line, true)
 	case EvL3Refresh:
-		socket := int(ev.Core)
-		if !h.l3[socket].lookup(ev.Line) {
-			// The line was back-invalidated by an earlier merge event;
-			// restore it so the L3 ends the epoch holding what the
-			// worker-side decision assumed.
-			h.fillL3(socket, ev.Line, false)
-		}
+		// fillL3 refreshes a resident line, or, if the line was
+		// back-invalidated by an earlier merge event, restores it so the
+		// L3 ends the epoch holding what the worker-side decision assumed.
+		h.fillL3(int(ev.Core), ev.Line, false)
 	case EvL3Fill:
 		h.fillL3(int(ev.Core), ev.Line, ev.Dirty)
 	case EvL3Inval:

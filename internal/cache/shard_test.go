@@ -120,8 +120,6 @@ func diffArrays(got, want *array) error {
 		return fmt.Errorf("LRU clock %d, want %d", got.clock, want.clock)
 	case !slices.Equal(got.tags, want.tags):
 		return fmt.Errorf("tags %v, want %v", got.tags, want.tags)
-	case !slices.Equal(got.valid, want.valid):
-		return fmt.Errorf("valid bits %v, want %v", got.valid, want.valid)
 	case !slices.Equal(got.dirty, want.dirty):
 		return fmt.Errorf("dirty bits %v, want %v", got.dirty, want.dirty)
 	case !slices.Equal(got.stamp, want.stamp):
@@ -177,7 +175,6 @@ func restore(dst, src *Hierarchy) {
 		for i, a := range lv[1] {
 			d := lv[0][i]
 			copy(d.tags, a.tags)
-			copy(d.valid, a.valid)
 			copy(d.dirty, a.dirty)
 			copy(d.stamp, a.stamp)
 			d.clock = a.clock
@@ -263,17 +260,23 @@ func FuzzApplyStreams(f *testing.F) {
 	m := tinyMachine()
 	c := newApplyChecker(m)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		draw := func(n int) int {
-			if len(data) == 0 {
-				return 0
-			}
-			b := data[0]
-			data = data[1:]
-			return int(b) % n
-		}
+		draw := byteDraw(data)
 		threads := 1 + draw(m.NumContexts())
 		c.check(t, c.gen(draw, threads))
 	})
+}
+
+// byteDraw returns a draw function over fuzzer bytes: each call consumes
+// one byte and returns it modulo n, or 0 once the bytes run out.
+func byteDraw(data []byte) func(n int) int {
+	return func(n int) int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b) % n
+	}
 }
 
 // TestApplyStreamsAllocFree is the allocation gate for the barrier merge:

@@ -136,6 +136,9 @@ func (c *Config) normalize() error {
 	if c.Machine == nil {
 		return errors.New("engine: Machine is required")
 	}
+	if err := c.Machine.Validate(); err != nil {
+		return err
+	}
 	if c.Workload == nil {
 		return errors.New("engine: Workload is required")
 	}

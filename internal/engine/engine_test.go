@@ -118,6 +118,13 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{Machine: mach, Workload: big, Policy: &pinned{}}); err == nil {
 		t.Error("64 threads on 32 contexts should fail")
 	}
+	// A hand-mutated machine is validated too: 64 cores exceed the
+	// directory's 32-bit core masks.
+	wide := topology.DefaultXeon()
+	wide.CoresPerSocket = 32
+	if _, err := Run(Config{Machine: wide, Workload: w, Policy: &pinned{}}); err == nil {
+		t.Error("a 64-core machine should fail validation")
+	}
 }
 
 func TestRunPolicyInitError(t *testing.T) {

@@ -215,6 +215,12 @@ func DefaultXeon() *Machine {
 	}
 }
 
+// MaxCores is the largest core count the simulator models: the cache
+// directory's sharer, invalidated and evicted sets and the shootdown sharer
+// sets are 32-bit core masks, so a core past the 32nd would silently drop
+// out of coherence.
+const MaxCores = 32
+
 // Validate reports whether the machine description is internally consistent.
 func (m *Machine) Validate() error {
 	switch {
@@ -224,6 +230,9 @@ func (m *Machine) Validate() error {
 		return errors.New("topology: need at least one core per socket")
 	case m.ThreadsPerCore < 1:
 		return errors.New("topology: need at least one thread per core")
+	case m.NumCores() > MaxCores:
+		return fmt.Errorf("topology: %d cores exceed the limit of %d (coherence sets are 32-bit core masks)",
+			m.NumCores(), MaxCores)
 	case m.LineSize <= 0 || m.LineSize&(m.LineSize-1) != 0:
 		return fmt.Errorf("topology: line size %d is not a positive power of two", m.LineSize)
 	case m.PageSize <= 0 || m.PageSize&(m.PageSize-1) != 0:

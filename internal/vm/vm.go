@@ -534,11 +534,9 @@ func (as *AddressSpace) invalidateTLBs(vpn uint64) uint32 {
 		if t.valid && t.vpn == vpn {
 			t.valid = false
 			as.stats.Shootdowns++
-			// The directory's sharer bitset is 32 cores wide; machines past
-			// that fall back to TLB-count-only accuracy, like the directory.
-			if c := as.mach.CoreOf(ctx); c < 32 {
-				cores |= 1 << uint(c)
-			}
+			// A 32-bit core mask, like the directory's sharer sets:
+			// Machine.Validate rejects machines past topology.MaxCores.
+			cores |= 1 << uint(as.mach.CoreOf(ctx))
 		}
 	}
 	return cores

@@ -26,6 +26,10 @@ func TestNewMachine(t *testing.T) {
 	if _, err := spcd.NewMachine(0, 1, 1); err == nil {
 		t.Error("invalid shape should error")
 	}
+	// 64 cores: past the directory's 32-bit core masks.
+	if _, err := spcd.NewMachine(4, 16, 1); err == nil || !strings.Contains(err.Error(), "32") {
+		t.Errorf("NewMachine(4, 16, 1) error = %v, want one naming the 32-core limit", err)
+	}
 }
 
 func TestNPBConstructors(t *testing.T) {
