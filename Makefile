@@ -1,10 +1,10 @@
 # Convenience targets; verify is the pre-merge gate (see ROADMAP.md).
 #
 # Benchmark targets:
-#   bench        — the canonical BENCH_engine.json refresh path: full-length
-#                  microbenchmarks (benchtime=100x) on the engine hot path
-#                  plus cmd/perfbench at -parallel 1, so the recorded wall
-#                  times are uncontended and comparable across records.
+#   bench        — full-length microbenchmarks (benchtime=100x) of the vm,
+#                  cache and engine hot paths, then the repository benchmark
+#                  (benchmark/run.sh: every workload, seed 1). Comparing two
+#                  commits is ./bench-compare.sh BASE_REF's job.
 #   bench-smoke  — 1-iteration pass over every benchmark (benchtime=1x):
 #                  proves they still compile and run; numbers meaningless.
 # verify.sh's BENCH=1 / OBS=1 blocks call these targets, so the recipe lives
@@ -48,7 +48,7 @@ verify:
 bench:
 	go test -run '^$$' -bench=. -benchmem -benchtime=100x \
 		./internal/vm ./internal/cache ./internal/engine
-	go run ./cmd/perfbench -parallel 1 -shardaxis 0,4 -o BENCH_engine.json
+	bash benchmark/run.sh
 
 bench-smoke:
 	go test -run '^$$' -bench=. -benchmem -benchtime=1x ./...
@@ -59,12 +59,15 @@ bench-smoke:
 # checks that the matrix CSV reader never panics and accepts only
 # communication matrices that round-trip. FuzzHierarchy checks the cache
 # hierarchy's MESI invariants and counter identities under random access
-# sequences. Each seed corpus is the package's testdata/fuzz; a crasher the
-# fuzzer finds lands there too and then runs on every `go test`.
+# sequences. FuzzMaxWeightMatching checks Edmonds' matching against an
+# exhaustive search on graphs of up to ten vertices. Each seed corpus is the
+# package's testdata/fuzz; a crasher the fuzzer finds lands there too and
+# then runs on every `go test`.
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzApplyStreams -fuzztime 20s ./internal/cache
 	go test -run '^$$' -fuzz FuzzReadMatrixCSV -fuzztime 10s ./internal/commmatrix
 	go test -run '^$$' -fuzz FuzzHierarchy -fuzztime 10s ./internal/cache
+	go test -run '^$$' -fuzz FuzzMaxWeightMatching -fuzztime 10s ./internal/matching
 
 # The smoke grids, each defined once and shared by the targets below.
 # OBS_GRID is the traced spcdobs run (obs-smoke, runtimeobs-smoke add the

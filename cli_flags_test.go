@@ -13,7 +13,7 @@ import (
 
 // cliTools are the simulation CLIs whose flag surface is pinned.
 var cliTools = []string{
-	"chaossweep", "commviz", "npbsuite", "perfbench",
+	"chaossweep", "commviz", "npbsuite",
 	"spcdobs", "spcdserve", "spcdsim", "spcdtrace",
 }
 
@@ -55,6 +55,19 @@ func TestCLIFlagSurface(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("CLI flag surface differs from %s\n--- got ---\n%s--- want ---\n%s", golden, got.Bytes(), want)
 	}
+
+	// A negative tenant count is an error naming the flag, not a panic.
+	t.Run("negative tenants", func(t *testing.T) {
+		for _, args := range [][]string{
+			{"spcdserve", "-tenants", "-1"},
+			{"chaossweep", "-churn", "-tenants", "-1"},
+		} {
+			out, err := exec.Command(filepath.Join(bin, args[0]), args[1:]...).CombinedOutput()
+			if err == nil || !strings.Contains(string(out), "-tenants") || strings.Contains(string(out), "panic:") {
+				t.Errorf("%s: %v\n%s\nwant a non-zero exit naming -tenants, without a panic", strings.Join(args, " "), err, out)
+			}
+		}
+	})
 }
 
 // flagDefault matches the suffix the flag package appends to a non-zero

@@ -59,8 +59,8 @@ func main() {
 		checkShards = flag.Bool("checkshards", false, "also build the epoch-sharded report at shards 1 and 4 and fail unless byte-identical")
 
 		churn   = flag.Bool("churn", false, "SLO-under-churn mode: run the multi-tenant serving scenario per intensity instead of a single kernel (policies static,spcd unless -policies is set)")
-		tenants = flag.Int("tenants", 3, "churn mode: tenants in the serving schedule")
-		budget  = flag.Int("budget", 4, "churn mode: churn governor's max thread moves per interval")
+		tenants = o.Count("tenants", 3, "churn mode: tenants in the serving schedule")
+		budget  = o.Count("budget", 4, "churn mode: churn governor's max thread moves per interval")
 	)
 	o.Parse()
 

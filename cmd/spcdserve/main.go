@@ -35,10 +35,10 @@ func main() {
 	o := &cli.Options{Flags: cli.Class | cli.Seed | cli.Shards, ClassName: "tiny", Seed: 42}
 	o.Register(flag.CommandLine)
 	var (
-		tenants   = flag.Int("tenants", 3, "tenants in the canonical churn schedule (>=3 exercises arrival, phase switch and departure)")
+		tenants   = o.Count("tenants", 3, "tenants in the canonical churn schedule (>=3 exercises arrival, phase switch and departure)")
 		policyStr = flag.String("policy", "spcd", "serving policy: static, os, spcd, tlb, hwc")
-		budget    = flag.Int("budget", 4, "churn governor: max thread moves per interval")
-		intervals = flag.Int("maxintervals", 0, "watchdog bound on intervals (0 = default 1024)")
+		budget    = o.Count("budget", 4, "churn governor: max thread moves per interval")
+		intervals = o.Count("maxintervals", 0, "watchdog bound on intervals (0 = default 1024)")
 		faults    = o.Fraction("faults", 0, "fault intensity in [0,1]; >0 arms the default plan incl. admission failures")
 		csvPath   = flag.String("csv", "", "write per-tenant rows as CSV to this path")
 		events    = flag.String("events", "", "write the adaptation event log (admissions, remaps, deferrals) to this path")

@@ -28,7 +28,7 @@ import (
 //
 // Function literals are first-class nodes (named parent$1, parent$2, ...)
 // so a closure handed across a package boundary keeps its own identity: the
-// taint of `Runner.Now = func() int64 { return time.Since(start) }` belongs
+// taint of `hook := func() int64 { return int64(time.Since(start)) }` belongs
 // to the closure, not to whichever main() happened to build it.
 
 // EdgeKind classifies how a call edge was resolved.

@@ -10,7 +10,7 @@ import (
 // VtimeUnits polices the simulator's two time units. Virtual time is cycle
 // counts (the engine clock, tick intervals, migration costs); the only
 // wall-clock quantity allowed anywhere near results is informational
-// nanosecond timing (sweep.Result.WallNanos). Functions, fields, and
+// nanosecond timing (internal/runtimeobs host spans). Functions, fields, and
 // parameters declare their unit by name — ...Cycles, ...Nanos, ..._ns — and
 // obs registrations declare it in the metric name. A cycles-named value may
 // not meet a nanos-named value in arithmetic, comparison, assignment,

@@ -1,6 +1,6 @@
 // Package buildinfo identifies the running binary for artifact metadata:
-// BENCH history entries and report headers record which build produced
-// them, so a regression found by cmd/benchdiff can be traced to a commit.
+// report headers record which build produced them, so a changed output can
+// be traced to a commit.
 package buildinfo
 
 import "runtime/debug"

@@ -1,5 +1,5 @@
 // Package cli is the one front end of the simulation CLIs (chaossweep,
-// commviz, npbsuite, perfbench, spcdobs, spcdserve, spcdsim, spcdtrace).
+// commviz, npbsuite, spcdobs, spcdserve, spcdsim, spcdtrace).
 // Each tool names the shared flags it takes and its defaults for them;
 // this package registers those flags, rejects out-of-range values, and
 // resolves the rest into the paper's experiment setup: the workload class,
@@ -132,39 +132,19 @@ func (o *Options) Fraction(name string, value float64, usage string) *float64 {
 	return p
 }
 
-// Fractions registers a tool's own comma-separated list of fractions.
+// Fractions registers a tool's own comma-separated list of fractions. A
+// value that is set but names no entries is an error.
 func (o *Options) Fractions(name, value, usage string) *[]float64 {
-	return listFlag(o, name, value, usage, func(s string) (float64, error) {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return 0, flagErr(name, s, err)
-		}
-		return v, fraction(name, v)
-	})
-}
-
-// Counts registers a tool's own comma-separated list of counts (each >= 0).
-func (o *Options) Counts(name, value, usage string) *[]int {
-	return listFlag(o, name, value, usage, func(s string) (int, error) {
-		v, err := strconv.Atoi(s)
-		if err != nil {
-			return 0, flagErr(name, s, err)
-		}
-		return v, atLeast(name, v, 0)
-	})
-}
-
-// listFlag registers a comma-separated list flag whose every entry parse
-// must accept; Parse fills the returned slice. A value that is set but
-// names no entries is an error.
-func listFlag[T any](o *Options, name, value, usage string, parse func(string) (T, error)) *[]T {
 	raw := o.fs.String(name, value, usage)
-	out := new([]T)
+	out := new([]float64)
 	o.checks = append(o.checks, func() error {
 		*out = nil
 		for _, s := range Split(*raw) {
-			v, err := parse(s)
+			v, err := strconv.ParseFloat(s, 64)
 			if err != nil {
+				return flagErr(name, s, err)
+			}
+			if err := fraction(name, v); err != nil {
 				return err
 			}
 			*out = append(*out, v)

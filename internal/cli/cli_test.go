@@ -14,7 +14,6 @@ type testTool struct {
 	o           *Options
 	fs          *flag.FlagSet
 	intensities *[]float64
-	shardaxis   *[]int
 }
 
 func newTestTool(flags Flag) testTool {
@@ -24,7 +23,7 @@ func newTestTool(flags Flag) testTool {
 	o.Register(fs)
 	o.Count("gran", 0, "")
 	o.Fraction("faults", 0, "")
-	return testTool{o: o, fs: fs, intensities: o.Fractions("intensities", "0,1", ""), shardaxis: o.Counts("shardaxis", "", "")}
+	return testTool{o: o, fs: fs, intensities: o.Fractions("intensities", "0,1", "")}
 }
 
 const allFlags = Bench | Suite | Kernels | Class | Threads | Seed | Policies | Reps |
@@ -61,8 +60,6 @@ func TestBadFlagsAreErrors(t *testing.T) {
 		{"-intensities", "0,+Inf"},
 		{"-intensities", "0,x"},
 		{"-intensities", ","},
-		{"-shardaxis", "0,-4"},
-		{"-shardaxis", "0,four"},
 	} {
 		_, err := parse(args...)
 		if err == nil || !strings.Contains(err.Error(), args[0]) {
@@ -79,13 +76,13 @@ func TestBadFlagsAreErrors(t *testing.T) {
 // TestResolve checks that valid flags resolve to the setup they name.
 func TestResolve(t *testing.T) {
 	tt, err := parse("-suite", "parsec", "-bench", "dedup", "-class", "tiny",
-		"-shootdown", "ipi", "-shardaxis", "0, 4", "-intensities", "0.25")
+		"-shootdown", "ipi", "-intensities", "0.25")
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := tt.o
-	got := fmt.Sprintf("%s %s %s %v %v", o.Class().Name, o.Workload().Name(), o.Machine().Shootdown, *tt.shardaxis, *tt.intensities)
-	if want := "tiny dedup ipi [0 4] [0.25]"; got != want {
+	got := fmt.Sprintf("%s %s %s %v", o.Class().Name, o.Workload().Name(), o.Machine().Shootdown, *tt.intensities)
+	if want := "tiny dedup ipi [0.25]"; got != want {
 		t.Errorf("resolved %q, want %q", got, want)
 	}
 	if got := Split(" os, ,spcd "); strings.Join(got, "|") != "os|spcd" {

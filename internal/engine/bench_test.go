@@ -9,9 +9,10 @@ import (
 )
 
 // BenchmarkRun measures end-to-end engine throughput — translation,
-// coherence, scheduling, and policy plumbing together — the number that
-// cmd/perfbench tracks across kernels. Run with -benchmem: the steady-state
-// access loop should show near-zero allocations per simulated access.
+// coherence, scheduling, and policy plumbing together; the benchmark module
+// (benchmark/) measures the same across kernels. Run with -benchmem: the
+// steady-state access loop should show near-zero allocations per simulated
+// access.
 func BenchmarkRun(b *testing.B) {
 	w, err := workloads.NewNPB("SP", 8, workloads.ClassTest)
 	if err != nil {
@@ -61,10 +62,8 @@ func BenchmarkRunSharded(b *testing.B) {
 }
 
 // BenchmarkRunObserved is the obs-on counterpart of BenchmarkRun: the same
-// run with a fresh probe attached each iteration. Compare the two (and the
-// recorded BENCH_engine.json) to see the observability tax; the obs-off
-// number is the one the <2% regression gate tracks, and EXPERIMENTS.md
-// records the measured obs-on cost.
+// run with a fresh probe attached each iteration. Compare the two to see the
+// observability tax; EXPERIMENTS.md records the measured obs-on cost.
 func BenchmarkRunObserved(b *testing.B) {
 	w, err := workloads.NewNPB("SP", 8, workloads.ClassTest)
 	if err != nil {

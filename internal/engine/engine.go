@@ -503,8 +503,9 @@ func (s *sim) minClockLoop() error {
 
 		// Injected thread stall: the thread loses its slice to modeled
 		// external load and is rescheduled after the burst. The injector
-		// clamps the stall rate below 1, so every thread always eventually
-		// retires accesses and the loop terminates under any plan.
+		// clamps the stall rate below 1 and every entry point that takes a
+		// plan rejects a NaN rate (Plan.Validate), so every thread always
+		// eventually retires accesses and the loop terminates.
 		if inj != nil {
 			if burst := inj.StallCycles(); burst > 0 {
 				if probe != nil {

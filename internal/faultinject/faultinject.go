@@ -22,6 +22,7 @@ package faultinject
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 
@@ -197,6 +198,37 @@ func (p Plan) Active() bool {
 		p.NodeCapacityFactor > 0 || p.SamplerSaturateRate > 0 ||
 		p.RemapDelayRate > 0 || p.StallRate > 0 || p.ShootdownDelayRate > 0 ||
 		p.AdmitFailRate > 0
+}
+
+// Validate returns an error naming the first field that makes the plan
+// meaningless: Intensity or a rate outside [0, 1], or a NodeCapacityFactor
+// that is negative or not finite. NaN fails every check. Unchecked, a NaN
+// rate fires its site on every event without a draw (both of Hit's
+// comparisons are false for NaN), and a NaN capacity factor rejects every
+// migration. Every entry point that accepts a plan calls it.
+func (p Plan) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Intensity", p.Intensity},
+		{"FaultDropRate", p.FaultDropRate},
+		{"FaultDupRate", p.FaultDupRate},
+		{"MigrateFailRate", p.MigrateFailRate},
+		{"SamplerSaturateRate", p.SamplerSaturateRate},
+		{"RemapDelayRate", p.RemapDelayRate},
+		{"StallRate", p.StallRate},
+		{"ShootdownDelayRate", p.ShootdownDelayRate},
+		{"AdmitFailRate", p.AdmitFailRate},
+	} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return fmt.Errorf("faultinject: plan %s = %g, want a value in [0, 1]", f.name, f.v)
+		}
+	}
+	if !(p.NodeCapacityFactor >= 0) || math.IsInf(p.NodeCapacityFactor, 1) {
+		return fmt.Errorf("faultinject: plan NodeCapacityFactor = %g, want a finite value >= 0", p.NodeCapacityFactor)
+	}
+	return nil
 }
 
 // rate returns the plan's probability for site s (capacity is not a rate

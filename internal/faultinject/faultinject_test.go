@@ -1,8 +1,48 @@
 package faultinject
 
 import (
+	"math"
+	"strings"
 	"testing"
 )
+
+// TestPlanValidate: every plan DefaultPlan builds on [0, 1] is valid, and
+// each field out of its range, NaN included, is an error naming that field.
+func TestPlanValidate(t *testing.T) {
+	for _, x := range []float64{0, 0.25, 0.5, 1} {
+		if err := DefaultPlan(7, x).Validate(); err != nil {
+			t.Errorf("DefaultPlan(7, %v): %v", x, err)
+		}
+	}
+	if err := (Plan{MigrateFailRate: 1, NodeCapacityFactor: 1.5}).Validate(); err != nil {
+		t.Errorf("rate 1, capacity 1.5: %v", err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		field string
+		edit  func(*Plan, float64)
+		bad   []float64
+	}{
+		{"Intensity", func(p *Plan, v float64) { p.Intensity = v }, []float64{nan, -0.5, 2}},
+		{"FaultDropRate", func(p *Plan, v float64) { p.FaultDropRate = v }, []float64{nan, -0.1, 1.1}},
+		{"FaultDupRate", func(p *Plan, v float64) { p.FaultDupRate = v }, []float64{nan, -0.1, inf}},
+		{"MigrateFailRate", func(p *Plan, v float64) { p.MigrateFailRate = v }, []float64{nan, -1, 1.5}},
+		{"SamplerSaturateRate", func(p *Plan, v float64) { p.SamplerSaturateRate = v }, []float64{nan, -0.1, 1.1}},
+		{"RemapDelayRate", func(p *Plan, v float64) { p.RemapDelayRate = v }, []float64{nan, -0.1, 1.1}},
+		{"StallRate", func(p *Plan, v float64) { p.StallRate = v }, []float64{nan, -0.1, 1.1}},
+		{"ShootdownDelayRate", func(p *Plan, v float64) { p.ShootdownDelayRate = v }, []float64{nan, -0.1, 1.1}},
+		{"AdmitFailRate", func(p *Plan, v float64) { p.AdmitFailRate = v }, []float64{nan, -0.1, 1.1}},
+		{"NodeCapacityFactor", func(p *Plan, v float64) { p.NodeCapacityFactor = v }, []float64{nan, -1, inf}},
+	} {
+		for _, v := range c.bad {
+			p := CanonicalPlan(1)
+			c.edit(&p, v)
+			if err := p.Validate(); err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Errorf("%s = %v: err = %v, want an error naming %s", c.field, v, err, c.field)
+			}
+		}
+	}
+}
 
 // TestNilInjectorIsNoop covers the nil-receiver contract every fault site in
 // the simulator relies on: a nil injector answers every query with the

@@ -189,34 +189,99 @@ func TestAgainstBruteForceSparse(t *testing.T) {
 		got := MaxWeightMatching(n, edges, false)
 		checkValidMatching(t, n, got)
 		gotW := MatchingWeight(got, weightOracle(edges))
-		wantW := bruteForceAny(n, edges)
+		_, wantW := bruteForce(n, edges, false)
 		if gotW != wantW {
 			t.Fatalf("trial %d: weight %d, want %d (edges %v, mate %v)", trial, gotW, wantW, edges, got)
 		}
 	}
 }
 
-// bruteForceAny exhaustively finds the maximum weight over all matchings
-// (not necessarily perfect).
-func bruteForceAny(n int, edges []Edge) int64 {
-	var best int64
+// bruteForce exhaustively searches every matching over edges (not
+// necessarily perfect) and returns the cardinality and weight of the best:
+// the heaviest, or with maxCard the heaviest of those with the most pairs.
+func bruteForce(n int, edges []Edge, maxCard bool) (int, int64) {
+	bestCard, bestW := 0, int64(0)
 	used := make([]bool, n)
-	var rec func(idx int, acc int64)
-	rec = func(idx int, acc int64) {
-		if acc > best {
-			best = acc
+	var rec func(idx, card int, acc int64)
+	rec = func(idx, card int, acc int64) {
+		if maxCard && card != bestCard {
+			if card > bestCard {
+				bestCard, bestW = card, acc
+			}
+		} else if acc > bestW {
+			bestCard, bestW = card, acc
 		}
 		for k := idx; k < len(edges); k++ {
 			e := edges[k]
 			if !used[e.I] && !used[e.J] {
 				used[e.I], used[e.J] = true, true
-				rec(k+1, acc+e.Weight)
+				rec(k+1, card+1, acc+e.Weight)
 				used[e.I], used[e.J] = false, false
 			}
 		}
 	}
-	rec(0, 0)
-	return best
+	rec(0, 0, 0)
+	return bestCard, bestW
+}
+
+// FuzzMaxWeightMatching is Edmonds' differential oracle on graphs of up to
+// ten vertices. The first byte gives n (its low nibble mod 11) and
+// maxCardinality (bit 4). Each further byte is one vertex pair, in the
+// order (0,1), (0,2), ..., (n-2,n-1): an odd byte makes the pair an edge of
+// weight int8(byte)>>1, in [-64, 63]. So a pair appears at most once and
+// there are no self-loops, as internal/mapping builds its edges. The result
+// must be a symmetric matching over given edges whose weight equals an
+// exhaustive search's (with maxCardinality, after the same cardinality),
+// and the solver's optimality certificate must hold.
+func FuzzMaxWeightMatching(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n, maxCard := int(data[0]&0x0f)%11, data[0]&0x10 != 0
+		data = data[1:]
+		var edges []Edge
+		isEdge := make(map[[2]int]bool)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n && len(data) > 0; j++ {
+				if b := data[0]; b&1 == 1 {
+					edges = append(edges, Edge{i, j, int64(int8(b) >> 1)})
+					isEdge[[2]int{i, j}] = true
+				}
+				data = data[1:]
+			}
+		}
+		mate := MaxWeightMatching(n, edges, maxCard)
+		if len(mate) != n {
+			t.Fatalf("n=%d: mate %v", n, mate)
+		}
+		card := 0
+		for v, w := range mate {
+			if w == -1 {
+				continue
+			}
+			if w < 0 || w >= n || mate[w] != v || !isEdge[[2]int{min(v, w), max(v, w)}] {
+				t.Fatalf("mate %v is not a matching over the edges %v", mate, edges)
+			}
+			if v < w {
+				card++
+			}
+		}
+		weight := weightOracle(edges)
+		gotW := MatchingWeight(mate, weight)
+		wantCard, wantW := bruteForce(n, edges, maxCard)
+		if maxCard && card != wantCard || gotW != wantW {
+			t.Fatalf("maxCard=%v: %d pairs of weight %d, exhaustive search %d of weight %d (edges %v, mate %v)",
+				maxCard, card, gotW, wantCard, wantW, edges, mate)
+		}
+		vmate, err := MaxWeightMatchingVerified(n, edges, maxCard)
+		if err != nil {
+			t.Fatalf("edges %v, maxCard=%v: %v", edges, maxCard, err)
+		}
+		if vw := MatchingWeight(vmate, weight); vw != gotW {
+			t.Fatalf("verified matching weighs %d, unverified %d", vw, gotW)
+		}
+	})
 }
 
 func TestMaxCardinalityAlwaysPerfectOnComplete(t *testing.T) {

@@ -113,6 +113,11 @@ func (s Spec) normalize() (Spec, error) {
 	if !scenarioPolicies[s.Policy] {
 		return s, fmt.Errorf("scenario: unknown policy %q", s.Policy)
 	}
+	if s.Faults != nil {
+		if err := s.Faults.Validate(); err != nil {
+			return s, fmt.Errorf("scenario: %w", err)
+		}
+	}
 	if len(s.Tenants) == 0 {
 		return s, fmt.Errorf("scenario: no tenants")
 	}
@@ -217,7 +222,7 @@ var defaultRotation = []string{"CG", "MG", "SP", "LU", "FT", "BT", "IS", "UA"}
 // With nTenants >= 3 the schedule exercises arrival, phase switch and
 // departure in one run. The interval length mirrors normalize's default
 // (1/8 of the shortest phase's nominal duration) so schedules land on
-// boundary times.
+// boundary times. Below one tenant the spec has none, which Run rejects.
 func DefaultSpec(nTenants int, class workloads.Class, seed int64) Spec {
 	minNominal := uint64(0)
 	kernels := make(map[string]bool)
@@ -240,7 +245,7 @@ func DefaultSpec(nTenants int, class workloads.Class, seed int64) Spec {
 		}
 	}
 	interval := minNominal / 8
-	tenants := make([]Tenant, nTenants)
+	tenants := make([]Tenant, max(nTenants, 0))
 	for i := range tenants {
 		arrive := uint64(i) * 2 * interval
 		t := Tenant{

@@ -178,11 +178,6 @@ type Result struct {
 	// Probe is the per-experiment probe returned by Runner.Observe, nil
 	// otherwise.
 	Probe *obs.Probe
-	// WallNanos is the experiment's wall-clock duration measured with
-	// Runner.Now (0 when no clock was injected). It is a measurement, not
-	// a simulation output: it varies run to run and is excluded from the
-	// determinism contract.
-	WallNanos int64
 	// Faults counts the injected faults per site, in registry order (nil
 	// when the sweep ran without a fault plan). Part of the determinism
 	// contract: same seed and plan give the same counts.
@@ -236,12 +231,6 @@ type Runner struct {
 	// experiments finish — completion order, for live progress only.
 	OnResult func(Result)
 
-	// Now, when set, timestamps each experiment (Result.WallNanos). It
-	// lives behind an injection point so the runner itself stays free of
-	// wall-clock reads (the determinism spcdlint rule applies to this
-	// package); cmd/perfbench injects a monotonic clock.
-	Now func() int64
-
 	// FaultPlan, when set, injects faults into every run: each config gets
 	// its own Injector seeded from (plan seed, run seed), so fault timing is
 	// as positional and worker-count-independent as the run seeds are. Nil
@@ -258,11 +247,10 @@ type Runner struct {
 
 	// Runtime, when non-nil, records host wall-clock spans for the pool
 	// (per-worker experiment occupancy, queue latency) and gives every run
-	// its own engine proc (see internal/runtimeobs). Like Now, it is purely
-	// an emission sink — the runner hands stamps in and never reads host
-	// time back — so attaching it cannot change results; unlike Now it
-	// needs no injection point because the runtimeobs-isolation lint rule
-	// certifies the one-way contract package-wide.
+	// its own engine proc (see internal/runtimeobs). It is purely an
+	// emission sink — the runner hands stamps in and never reads host time
+	// back — so attaching it cannot change results; the runtimeobs-isolation
+	// lint rule certifies that one-way contract package-wide.
 	Runtime *runtimeobs.Collector
 }
 
@@ -275,6 +263,11 @@ func (r *Runner) Run(configs []Config) ([]Result, error) {
 	}
 	if r.Parallelism < 0 {
 		return nil, fmt.Errorf("sweep: negative Parallelism %d", r.Parallelism)
+	}
+	if r.FaultPlan != nil {
+		if err := r.FaultPlan.Validate(); err != nil {
+			return nil, fmt.Errorf("sweep: %w", err)
+		}
 	}
 	workers := r.Parallelism
 	if workers == 0 {
@@ -416,10 +409,6 @@ func (r *Runner) runOne(c Config) (res Result) {
 	if r.Runtime != nil {
 		rtp = r.Runtime.Proc("run " + c.Key())
 	}
-	var start int64
-	if r.Now != nil {
-		start = r.Now()
-	}
 	m, err := engine.Run(engine.Config{
 		Machine:  r.Machine,
 		Workload: w,
@@ -430,9 +419,6 @@ func (r *Runner) runOne(c Config) (res Result) {
 		Shards:   r.Shards,
 		Runtime:  rtp,
 	})
-	if r.Now != nil {
-		res.WallNanos = r.Now() - start
-	}
 	if err != nil {
 		res.Err = fmt.Errorf("sweep: %s: %w", c.Key(), err)
 		return res

@@ -368,37 +368,6 @@ func TestSeedKeyExcludesPolicy(t *testing.T) {
 	}
 }
 
-// TestWallClockInjection: an injected clock yields per-experiment timings;
-// no clock yields zero (and no wall-clock read anywhere in this package —
-// the determinism lint rule enforces that side).
-func TestWallClockInjection(t *testing.T) {
-	mach := topology.DefaultXeon()
-	configs := testConfigs(t)[:2]
-	var ticks int64
-	r := Runner{
-		Machine:     mach,
-		Parallelism: 1,
-		Now:         func() int64 { ticks += 5; return ticks },
-	}
-	results, err := r.Run(configs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range results {
-		if results[i].WallNanos != 5 {
-			t.Errorf("%s: WallNanos = %d, want 5 from the injected clock", results[i].Config.Key(), results[i].WallNanos)
-		}
-	}
-	r2 := Runner{Machine: mach, Parallelism: 1}
-	results, err = r2.Run(configs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].WallNanos != 0 {
-		t.Errorf("WallNanos = %d without a clock, want 0", results[0].WallNanos)
-	}
-}
-
 // TestRunnerValidation: a runner without a machine errors; an empty config
 // list yields an empty, event-framed sweep.
 func TestRunnerValidation(t *testing.T) {

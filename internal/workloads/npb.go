@@ -116,6 +116,18 @@ func ByName(suite, kernel string, threads int, class Class) (Workload, error) {
 	return w, nil
 }
 
+// SuiteKernels returns the kernels of a suite: NPBNames for "nas",
+// ParsecNames for "parsec". Any other suite is an error naming it.
+func SuiteKernels(suite string) ([]string, error) {
+	switch suite {
+	case "nas":
+		return NPBNames, nil
+	case "parsec":
+		return ParsecNames, nil
+	}
+	return nil, fmt.Errorf("workloads: unknown suite %q (want nas or parsec)", suite)
+}
+
 // HeterogeneousKernels lists the kernels the paper classifies as having a
 // heterogeneous communication pattern (Table II).
 var HeterogeneousKernels = map[string]bool{

@@ -178,6 +178,9 @@ func Run(m *Machine, w Workload, policyName string, seed int64, opts ...RunOptio
 	if len(opts) == 1 {
 		o = opts[0]
 	}
+	if err := o.Faults.Validate(); err != nil {
+		return Metrics{}, err
+	}
 	p, err := policy.Tuned(policyName, w, m)
 	if err != nil {
 		return Metrics{}, err

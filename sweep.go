@@ -2,10 +2,10 @@ package spcd
 
 import (
 	"errors"
-	"fmt"
 
 	"spcd/internal/obs"
 	"spcd/internal/sweep"
+	"spcd/internal/workloads"
 )
 
 // Sweep runs an evaluation grid — kernels × policies × reps at one class —
@@ -113,13 +113,9 @@ func (s Sweep) Run() (*SweepResults, error) {
 	}
 	kernels := s.Kernels
 	if len(kernels) == 0 {
-		switch suite {
-		case "nas":
-			kernels = NPBNames
-		case "parsec":
-			kernels = ParsecNames
-		default:
-			return nil, fmt.Errorf("spcd: unknown suite %q (want nas or parsec)", suite)
+		var err error
+		if kernels, err = workloads.SuiteKernels(suite); err != nil {
+			return nil, err
 		}
 	}
 	class := s.Class

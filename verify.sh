@@ -8,10 +8,9 @@
 # exactly this.
 #
 # BENCH=1 ./verify.sh additionally runs `make bench`: full-length
-# microbenchmarks of the engine hot path and the canonical refresh of
-# BENCH_engine.json (cmd/perfbench at -parallel 1, so timings are
-# uncontended). Opt-in because it adds minutes of wall time and its numbers
-# are machine-dependent.
+# microbenchmarks of the vm, cache and engine hot paths, then the repository
+# benchmark (benchmark/run.sh). Opt-in because it adds minutes of wall time
+# and its numbers are machine-dependent.
 #
 # OBS=1 ./verify.sh additionally runs `make obs-smoke`: a tiny traced
 # simulation through cmd/spcdobs whose -check flag re-reads the emitted
