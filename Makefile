@@ -60,14 +60,16 @@ bench-smoke:
 # communication matrices that round-trip. FuzzHierarchy checks the cache
 # hierarchy's MESI invariants and counter identities under random access
 # sequences. FuzzMaxWeightMatching checks Edmonds' matching against an
-# exhaustive search on graphs of up to ten vertices. Each seed corpus is the
-# package's testdata/fuzz; a crasher the fuzzer finds lands there too and
-# then runs on every `go test`.
+# exhaustive search on graphs of up to ten vertices. FuzzTable checks the
+# SPCD hash table against a model of its overwrite-on-collision rules. Each
+# seed corpus is the package's testdata/fuzz; a crasher the fuzzer finds
+# lands there too and then runs on every `go test`.
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzApplyStreams -fuzztime 20s ./internal/cache
 	go test -run '^$$' -fuzz FuzzReadMatrixCSV -fuzztime 10s ./internal/commmatrix
 	go test -run '^$$' -fuzz FuzzHierarchy -fuzztime 10s ./internal/cache
 	go test -run '^$$' -fuzz FuzzMaxWeightMatching -fuzztime 10s ./internal/matching
+	go test -run '^$$' -fuzz FuzzTable -fuzztime 10s ./internal/hashtab
 
 # The smoke grids, each defined once and shared by the targets below.
 # OBS_GRID is the traced spcdobs run (obs-smoke, runtimeobs-smoke add the

@@ -64,7 +64,7 @@ func TestChaosRunsDeterministic(t *testing.T) {
 			Reps:        2,
 			MasterSeed:  42,
 			Parallelism: parallelism,
-			Faults:      &plan,
+			Options:     spcd.RunOptions{Faults: plan},
 		}.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -102,7 +102,7 @@ func TestCanonicalPlanGridAcceptance(t *testing.T) {
 		Policies:   spcd.PolicyNames,
 		Reps:       2,
 		MasterSeed: 42,
-		Faults:     &plan,
+		Options:    spcd.RunOptions{Faults: plan},
 	}.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -33,7 +33,7 @@ func TestChurnDeterminismAcrossParallelism(t *testing.T) {
 		s := churnSpec(seed)
 		specs = append(specs, s)
 		f := churnSpec(seed)
-		f.Faults = &plan // the fault-injected leg must hold the same contract
+		f.Options.Faults = plan // the fault-injected leg must hold the same contract
 		specs = append(specs, f)
 	}
 	seq, errs1 := scenario.RunJobs(specs, 1)
@@ -53,11 +53,11 @@ func TestChurnDeterminismAcrossShards(t *testing.T) {
 	plan := spcd.CanonicalFaultPlan(42)
 	for _, faults := range []bool{false, true} {
 		s1 := churnSpec(42)
-		s1.Shards = 1
+		s1.Options.Shards = 1
 		s4 := churnSpec(42)
-		s4.Shards = 4
+		s4.Options.Shards = 4
 		if faults {
-			s1.Faults, s4.Faults = &plan, &plan
+			s1.Options.Faults, s4.Options.Faults = plan, plan
 		}
 		r1, err := spcd.Serve(s1)
 		if err != nil {
@@ -80,8 +80,7 @@ func TestChurnDeterminismAcrossShards(t *testing.T) {
 func TestChurnScenarioCompletesUnderFaults(t *testing.T) {
 	plan := spcd.CanonicalFaultPlan(42)
 	s := churnSpec(42)
-	s.Faults = &plan
-	s.Probe = spcd.NewProbe(spcd.ObsOptions{})
+	s.Options = spcd.RunOptions{Faults: plan, Probe: spcd.NewProbe(spcd.ObsOptions{})}
 	rep, err := spcd.Serve(s)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +99,7 @@ func TestChurnScenarioCompletesUnderFaults(t *testing.T) {
 		}
 	}
 	perInterval := map[uint64]uint64{}
-	for _, ev := range s.Probe.Events() {
+	for _, ev := range s.Options.Probe.Events() {
 		if ev.Cat != "scenario" || ev.Name != "remap.applied" {
 			continue
 		}

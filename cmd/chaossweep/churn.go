@@ -7,6 +7,7 @@ import (
 
 	"spcd"
 	"spcd/internal/cli"
+	"spcd/internal/runtimeobs"
 	"spcd/internal/scenario"
 	"spcd/internal/sweep"
 )
@@ -27,6 +28,11 @@ type churnGrid struct {
 	seed     int64
 	reps     int
 	budget   int
+
+	// runtime, when set, collects host wall-clock spans, one proc per
+	// serving interval. One-way: the report and CSV are identical with it
+	// on or off.
+	runtime *runtimeobs.Collector
 }
 
 // churnRow is one (intensity, policy) point, averaged over the reps.
@@ -73,13 +79,13 @@ func (g churnGrid) run(parallelism, shards int) (report, csv string) {
 				s = churnFreeSpec(g.tenants, g.class, seed)
 			} else {
 				s = spcd.DefaultScenario(g.tenants, g.class, seed)
-				plan := spcd.DefaultFaultPlan(g.seed, pt.intensity)
-				s.Faults = &plan
+				s.Options.Faults = spcd.DefaultFaultPlan(g.seed, pt.intensity)
 			}
 			s.Machine = g.machine
 			s.Policy = pt.policy
 			s.MigrationBudget = g.budget
-			s.Shards = shards
+			s.Options.Shards = shards
+			s.Options.Runtime = g.runtime
 			specs = append(specs, s)
 		}
 	}

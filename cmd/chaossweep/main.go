@@ -67,9 +67,6 @@ func main() {
 	pols := cli.Split(o.Policies)
 	var g sweeper
 	if *churn {
-		if o.RuntimeDir != "" {
-			cli.Fatal(errors.New("-runtimeobs does not apply to -churn: scenario runs record no host spans"))
-		}
 		polSet := false
 		flag.Visit(func(f *flag.Flag) { polSet = polSet || f.Name == "policies" })
 		if !polSet {
@@ -79,7 +76,7 @@ func main() {
 		}
 		g = churnGrid{
 			tenants: *tenants, class: o.Class(), machine: o.Machine(), policies: pols, axis: *axis,
-			seed: o.Seed, reps: o.Reps, budget: *budget,
+			seed: o.Seed, reps: o.Reps, budget: *budget, runtime: o.Runtime(),
 		}
 	} else {
 		g = grid{
@@ -179,10 +176,8 @@ func (g grid) run(parallelism, shards int) (report, csv string) {
 		runner := sweep.Runner{
 			Machine:     g.machine,
 			Parallelism: parallelism,
-			Shards:      shards,
-			Runtime:     g.runtime,
 			Seeder:      func(c sweep.Config) int64 { return g.seed + int64(c.Rep) + 1 },
-			FaultPlan:   &plan,
+			Options:     spcd.RunOptions{Shards: shards, Faults: plan, Runtime: g.runtime},
 		}
 		rs, err := runner.Run(configs)
 		cli.Check(err)

@@ -132,9 +132,8 @@ func buildReport(o *cli.Options, metric string, progress func(done, total int, k
 		Reps:        o.Reps,
 		MasterSeed:  o.Seed,
 		Parallelism: o.Parallel,
-		Shards:      o.Shards,
-		Runtime:     o.Runtime(),
 		OnProgress:  progress,
+		Options:     o.RunOptions(),
 	}.Run()
 	if err != nil {
 		return nil, nil, err

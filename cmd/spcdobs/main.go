@@ -70,12 +70,11 @@ func main() {
 	runner := sweep.Runner{
 		Machine:     o.Machine(),
 		Parallelism: o.Parallel,
-		Shards:      o.Shards,
-		Runtime:     o.Runtime(),
 		Seeder:      func(sweep.Config) int64 { return o.Seed },
 		Observe:     func(c sweep.Config) *obs.Probe { return probeFor[c.Policy] },
-		Probe:       sweepProbe,
+		Options:     o.RunOptions(),
 	}
+	runner.Options.Probe = sweepProbe
 	rs, err := runner.Run(configs)
 	cli.Check(err)
 	cli.Check(sweep.FirstErr(rs))

@@ -51,10 +51,9 @@ func main() {
 	spec.Policy = *policyStr
 	spec.MigrationBudget = *budget
 	spec.MaxIntervals = *intervals
-	spec.Shards = o.Shards
+	spec.Options = o.RunOptions()
 	if *faults > 0 {
-		plan := spcd.DefaultFaultPlan(o.Seed, *faults)
-		spec.Faults = &plan
+		spec.Options.Faults = spcd.DefaultFaultPlan(o.Seed, *faults)
 	}
 
 	if *check {
@@ -67,7 +66,7 @@ func main() {
 	var probe *spcd.Probe
 	if *events != "" {
 		probe = spcd.NewProbe(spcd.ObsOptions{})
-		spec.Probe = probe
+		spec.Options.Probe = probe
 	}
 	rep, err := spcd.Serve(spec)
 	cli.Check(err)
@@ -87,7 +86,7 @@ func checkParallelism(spec spcd.Scenario) {
 	for i := range specs {
 		s := spec
 		s.MasterSeed = spec.MasterSeed + int64(i)
-		s.Probe = nil
+		s.Options.Probe = nil
 		specs[i] = s
 	}
 	seq, errs1 := scenario.RunJobs(specs, 1)
@@ -106,8 +105,8 @@ func checkParallelism(spec spcd.Scenario) {
 // and 4 intra-interval workers; the reports must be byte-identical.
 func checkShardIdentity(spec spcd.Scenario) {
 	s1, s4 := spec, spec
-	s1.Shards, s4.Shards = 1, 4
-	s1.Probe, s4.Probe = nil, nil
+	s1.Options.Shards, s4.Options.Shards = 1, 4
+	s1.Options.Probe, s4.Options.Probe = nil, nil
 	r1, err := spcd.Serve(s1)
 	cli.Check(err)
 	r4, err := spcd.Serve(s4)

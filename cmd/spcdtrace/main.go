@@ -47,9 +47,9 @@ func main() {
 
 	aff, err := spcd.ComputeMapping(m, mach)
 	if err == nil {
-		fmt.Printf("oracle cost    %.4g (scatter-relative %.2f)\n",
-			spcd.MappingCost(m, mach, aff),
-			scatterRelative(m, mach, aff))
+		cost, err := spcd.MappingCost(m, mach, aff)
+		cli.Check(err)
+		fmt.Printf("oracle cost    %.4g (scatter-relative %.2f)\n", cost, scatterRelative(m, mach, aff))
 	}
 
 	fmt.Println("\nground-truth communication matrix:")

@@ -50,7 +50,10 @@ func main() {
 		}
 		// Quantify: communication cost of this placement vs. the worst
 		// observed over a few random shuffles.
-		cost := spcd.MappingCost(truth, mach, aff)
+		cost, err := spcd.MappingCost(truth, mach, aff)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  communication cost: %.3g\n", cost)
 
 		// How often do ring neighbours share a core or socket?

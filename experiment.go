@@ -80,13 +80,11 @@ type Experiment struct {
 	// execution; negative is an error.
 	Parallelism int
 
-	// Shards selects the engine each run executes on: 0 (the default) is
-	// the sequential engine; >= 1 uses the epoch-sharded engine with that
-	// many intra-run workers; negative is an error. Sharded results are
-	// byte-identical for every value >= 1 but intentionally differ from the
-	// sequential engine (see DESIGN.md §13). Shards composes with
-	// Parallelism — the total worker count is roughly Parallelism × Shards.
-	Shards int
+	// Options sets every run's engine (Shards composes with Parallelism:
+	// the total worker count is roughly Parallelism × Shards), fault plan
+	// and host-time collector. Its Probe records the grid's progress
+	// events; each run's own probe comes from Observe.
+	Options RunOptions
 
 	// Observe, if set, is called once per run before it starts and may
 	// return a fresh Probe to record that run's time series and event
@@ -94,16 +92,6 @@ type Experiment struct {
 	// Probe per call — one Probe observes exactly one run — and may be
 	// called from concurrent worker goroutines.
 	Observe func(policyName string, rep int) *Probe
-
-	// Faults, when set, injects the plan's faults into every run (each run
-	// gets its own deterministic injector derived from the plan and the run
-	// seed). Nil or an inactive plan leaves the runs fault-free.
-	Faults *FaultPlan
-
-	// Runtime, when set, records host wall-clock spans for the pool and
-	// every run (see RuntimeCollector). Strictly one-way, so results are
-	// unchanged; nil disables at zero cost.
-	Runtime *RuntimeCollector
 }
 
 // Results holds all runs of an experiment, indexed by policy.
@@ -141,9 +129,7 @@ func (e Experiment) Run() (*Results, error) {
 		Machine:     e.Machine,
 		Parallelism: e.Parallelism,
 		Seeder:      func(c sweep.Config) int64 { return e.BaseSeed + int64(c.Rep) + 1 },
-		FaultPlan:   e.Faults,
-		Shards:      e.Shards,
-		Runtime:     e.Runtime,
+		Options:     e.Options,
 	}
 	if e.Observe != nil {
 		//lint:ignore determinism-flow Observe is a user-supplied probe factory invoked once per run before simulation; probes record events, they do not steer them.

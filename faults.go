@@ -9,10 +9,6 @@ import "spcd/internal/faultinject"
 // configured with it takes exactly the fault-free code paths.
 type FaultPlan = faultinject.Plan
 
-// FaultSiteCount is a per-site injected-fault tally, reported in registry
-// order by chaos runs.
-type FaultSiteCount = faultinject.SiteCount
-
 // DefaultFaultPlan builds a plan whose per-site rates scale linearly with
 // intensity in [0, 1]: 0 is fault-free, 1 is the harshest plan the
 // degradation machinery is expected to survive.

@@ -240,6 +240,12 @@ func (o *Options) Workload() spcd.Workload { return o.workload }
 // -runtimeobs.
 func (o *Options) Runtime() *runtimeobs.Collector { return o.runtime }
 
+// RunOptions returns -shards and the -runtimeobs collector as the run
+// settings every library entry point takes.
+func (o *Options) RunOptions() spcd.RunOptions {
+	return spcd.RunOptions{Shards: o.Shards, Runtime: o.runtime}
+}
+
 // Finish writes the runtime-observability artifacts, when requested, and
 // stops the profilers, exiting with a message on any error. Call it once
 // the tool's work is done.

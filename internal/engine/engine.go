@@ -131,6 +131,53 @@ type Config struct {
 	Runtime *runtimeobs.Proc
 }
 
+// RunOptions holds the run-level settings every front end passes to its
+// runs: the engine, the fault plan and the observers. The zero value runs
+// the sequential engine, fault-free and unobserved.
+type RunOptions struct {
+	// Shards selects the engine (see Config.Shards): 0 is the sequential
+	// engine, >= 1 the epoch-sharded engine with that many intra-run
+	// workers, negative an error. A front end that runs simulations
+	// concurrently uses roughly Parallelism × Shards goroutines.
+	Shards int
+	// Faults is the fault-injection plan. Each run gets its own injector
+	// seeded from (plan seed, run seed), so faulted runs are as
+	// reproducible as fault-free ones. The zero plan is fault-free.
+	Faults faultinject.Plan
+	// Probe, when non-nil, records the call it is passed to: one run's
+	// time series and event trace, a grid's progress events (sweep.start,
+	// exp.done per config in canonical order, sweep.done), or a scenario's
+	// adaptation events. One probe observes one call.
+	Probe *obs.Probe
+	// Runtime, when non-nil, records host wall-clock spans, one proc per
+	// run plus a grid's pool lanes. It is strictly one-way, so results are
+	// unchanged.
+	Runtime *runtimeobs.Collector
+}
+
+// Validate rejects a negative Shards and a fault plan with a field out of
+// range, naming the field. Every entry point calls it before any run
+// starts.
+func (o RunOptions) Validate() error {
+	if o.Shards < 0 {
+		return fmt.Errorf("engine: negative Shards %d", o.Shards)
+	}
+	return o.Faults.Validate()
+}
+
+// Config builds one run's engine config with the options' engine and probe
+// and an injector for the run seed. The run gets a host-time proc named
+// name() only when a collector is attached, so an unobserved run never
+// builds the name.
+func (o RunOptions) Config(m *topology.Machine, w workloads.Workload, p Policy, seed int64, name func() string) Config {
+	c := Config{Machine: m, Workload: w, Policy: p, Seed: seed, Shards: o.Shards, Probe: o.Probe,
+		Injector: faultinject.NewInjector(o.Faults, seed)}
+	if o.Runtime != nil {
+		c.Runtime = o.Runtime.Proc(name())
+	}
+	return c
+}
+
 // normalize fills in defaults and validates.
 func (c *Config) normalize() error {
 	if c.Machine == nil {
@@ -387,7 +434,7 @@ func newSim(cfg *Config) (*sim, error) {
 	}
 	s.affinity = append([]int(nil), cfg.Policy.InitialAffinity()...)
 	s.affScratch = make([]bool, mach.NumContexts())
-	if err := checkAffinity(s.affinity, n, mach.NumContexts(), s.affScratch); err != nil {
+	if err := CheckAffinity(s.affinity, n, mach.NumContexts(), s.affScratch); err != nil {
 		return nil, err
 	}
 	s.threads = make([]*thread, n)
@@ -568,7 +615,7 @@ func (s *sim) tick(until uint64) (bool, error) {
 	clocksMoved := false
 	for s.nextTick <= until {
 		if newAff := pol.Tick(s.nextTick); newAff != nil {
-			if err := checkAffinity(newAff, s.n, s.mach.NumContexts(), s.affScratch); err != nil {
+			if err := CheckAffinity(newAff, s.n, s.mach.NumContexts(), s.affScratch); err != nil {
 				return false, fmt.Errorf("engine: policy %s: %w", pol.Name(), err)
 			}
 			moved := 0
@@ -665,10 +712,11 @@ func (s *sim) metrics(execCycles uint64) Metrics {
 	return m
 }
 
-// checkAffinity validates a thread->context placement. scratch must have
-// length contexts; it is cleared and reused so the per-migration validation
+// CheckAffinity validates a thread->context placement: one context in
+// [0, contexts) per thread, none used twice. scratch must have length
+// contexts; it is cleared and reused so the per-migration validation
 // allocates nothing.
-func checkAffinity(aff []int, n, contexts int, scratch []bool) error {
+func CheckAffinity(aff []int, n, contexts int, scratch []bool) error {
 	if len(aff) != n {
 		return fmt.Errorf("affinity covers %d threads, want %d", len(aff), n)
 	}

@@ -122,13 +122,13 @@ func Run(spec Spec) (*Report, error) {
 	r := &runner{
 		s:       s,
 		mach:    s.Machine,
-		probe:   s.Probe,
+		probe:   s.Options.Probe,
 		compute: s.Tenants[0].Class.ComputePerMemop,
 		rep: &Report{
 			Policy:         s.Policy,
 			MasterSeed:     s.MasterSeed,
 			IntervalCycles: s.IntervalCycles,
-			Shards:         s.Shards,
+			Shards:         s.Options.Shards,
 		},
 	}
 	r.budget = s.IntervalCycles / uint64(r.compute+workloads.NominalAccessCycles)
@@ -154,9 +154,9 @@ func Run(spec Spec) (*Report, error) {
 	}
 	r.matrix = commmatrix.New(r.total)
 	r.gov = newGovernor(s.MigrationBudget, s.IntervalCycles)
-	if s.Faults != nil && s.Faults.Active() {
-		r.admit = faultinject.NewInjector(*s.Faults, sweep.DeriveSeed(s.MasterSeed, "scenario/admission"))
-		r.rep.FaultDigest = s.Faults.Digest()
+	if f := s.Options.Faults; f.Active() {
+		r.admit = faultinject.NewInjector(f, sweep.DeriveSeed(s.MasterSeed, "scenario/admission"))
+		r.rep.FaultDigest = f.Digest()
 	}
 	r.ctxOrder = policy.Scatter(r.mach, r.mach.NumContexts())
 
@@ -355,7 +355,7 @@ func (r *runner) boundary(now uint64) {
 		}
 	}
 	if r.decayPending {
-		r.matrix.Scale(r.s.ChurnDecay)
+		r.matrix.Scale(churnDecay)
 		r.decayPending = false
 	}
 }
@@ -474,18 +474,9 @@ func (r *runner) runInterval(k int, now uint64, active []*tenantState) error {
 		return err
 	}
 	seed := sweep.DeriveSeed(r.s.MasterSeed, fmt.Sprintf("interval/%d", k))
-	var inj *faultinject.Injector
-	if r.s.Faults != nil {
-		inj = faultinject.NewInjector(*r.s.Faults, seed)
-	}
-	met, err := engine.Run(engine.Config{
-		Machine:  r.mach,
-		Workload: comp,
-		Policy:   pol,
-		Seed:     seed,
-		Shards:   r.s.Shards,
-		Injector: inj,
-	})
+	o := r.s.Options
+	o.Probe = nil // the scenario's probe records adaptation events, not runs
+	met, err := engine.Run(o.Config(r.mach, comp, pol, seed, func() string { return fmt.Sprintf("interval %d", k) }))
 	if err != nil {
 		return err
 	}
@@ -522,7 +513,7 @@ func (r *runner) runInterval(k int, now uint64, active []*tenantState) error {
 	}
 
 	if r.detecting() && met.CommMatrix != nil {
-		r.matrix.Scale(r.s.IntervalDecay)
+		r.matrix.Scale(intervalDecay)
 		for i, a := range ids {
 			for j, b := range ids {
 				if v := met.CommMatrix.At(i, j); v != 0 {

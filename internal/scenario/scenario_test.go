@@ -145,7 +145,7 @@ func TestDefaultSpecScheduleShape(t *testing.T) {
 func TestScenarioRunsToCompletion(t *testing.T) {
 	s := DefaultSpec(3, workloads.ClassTest, 42)
 	s.Policy = "spcd"
-	s.Probe = obs.New(obs.Options{})
+	s.Options.Probe = obs.New(obs.Options{})
 	rep, err := Run(s)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestScenarioRunsToCompletion(t *testing.T) {
 	// Budget audit: per interval, the sum of applied moves never exceeds
 	// the governor's budget.
 	perInterval := map[uint64]uint64{}
-	for _, ev := range s.Probe.Events() {
+	for _, ev := range s.Options.Probe.Events() {
 		if ev.Cat != "scenario" || ev.Name != "remap.applied" {
 			continue
 		}
@@ -219,8 +219,8 @@ func TestAdmissionRejectNeverDrops(t *testing.T) {
 	s := DefaultSpec(1, workloads.ClassTest, 9)
 	s.Policy = "static"
 	s.MaxIntervals = 40
-	s.Faults = &faultinject.Plan{Seed: 9, AdmitFailRate: 1}
-	s.Probe = obs.New(obs.Options{})
+	s.Options.Faults = faultinject.Plan{Seed: 9, AdmitFailRate: 1}
+	s.Options.Probe = obs.New(obs.Options{})
 	rep, err := Run(s)
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +233,7 @@ func TestAdmissionRejectNeverDrops(t *testing.T) {
 		t.Error("no admission rejections recorded at rate 1")
 	}
 	rejects := 0
-	for _, ev := range s.Probe.Events() {
+	for _, ev := range s.Options.Probe.Events() {
 		if ev.Cat == "scenario" && ev.Name == "tenant.admit.reject" {
 			rejects++
 		}

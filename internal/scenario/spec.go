@@ -15,8 +15,7 @@ import (
 	"fmt"
 	"sort"
 
-	"spcd/internal/faultinject"
-	"spcd/internal/obs"
+	"spcd/internal/engine"
 	"spcd/internal/topology"
 	"spcd/internal/workloads"
 )
@@ -76,26 +75,24 @@ type Spec struct {
 	// MigrationBudget is the churn governor's hard cap on thread moves per
 	// interval; 0 selects 4.
 	MigrationBudget int
-	// ChurnDecay scales the persistent communication matrix on every
-	// membership change (arrival, departure, completion, phase switch), so
-	// stale affinity fades quickly under churn; 0 selects 0.5.
-	ChurnDecay float64
-	// IntervalDecay ages the persistent matrix once per interval before the
-	// interval's detected communication is merged in; 0 selects 0.7.
-	IntervalDecay float64
-	// Shards selects the engine for each interval: 0 sequential, >= 1 the
-	// epoch-sharded engine with that many workers (byte-identical at any
-	// worker count, see engine.Config.Shards), negative an error.
-	Shards int
-	// Probe, when non-nil, records the scenario's adaptation events
-	// (admission decisions, remaps, governor deferrals) at global virtual
-	// time. One probe observes one scenario.
-	Probe *obs.Probe
-	// Faults, when non-nil and active, arms deterministic fault injection:
-	// the admission path (scenario.admit.fail) plus every per-interval
-	// engine run under the plan.
-	Faults *faultinject.Plan
+	// Options selects every interval's engine (Shards; byte-identical at
+	// any worker count >= 1), arms fault injection (Faults: the admission
+	// path, scenario.admit.fail, plus every interval's engine run), records
+	// the scenario's adaptation events (admission decisions, remaps,
+	// governor deferrals) at global virtual time (Probe), and gives each
+	// interval run its own host-time proc, "interval <k>" (Runtime). The
+	// interval runs themselves are unobserved.
+	Options engine.RunOptions
 }
+
+// The persistent communication matrix ages twice: churnDecay scales it on
+// every membership change (arrival, departure, completion, phase switch),
+// so stale affinity fades quickly under churn, and intervalDecay once per
+// interval, before the interval's detected communication is merged in.
+const (
+	churnDecay    = 0.5
+	intervalDecay = 0.7
+)
 
 // scenarioPolicies are the placement modes the serving loop implements.
 var scenarioPolicies = map[string]bool{
@@ -113,10 +110,8 @@ func (s Spec) normalize() (Spec, error) {
 	if !scenarioPolicies[s.Policy] {
 		return s, fmt.Errorf("scenario: unknown policy %q", s.Policy)
 	}
-	if s.Faults != nil {
-		if err := s.Faults.Validate(); err != nil {
-			return s, fmt.Errorf("scenario: %w", err)
-		}
+	if err := s.Options.Validate(); err != nil {
+		return s, fmt.Errorf("scenario: %w", err)
 	}
 	if len(s.Tenants) == 0 {
 		return s, fmt.Errorf("scenario: no tenants")
@@ -195,18 +190,6 @@ func (s Spec) normalize() (Spec, error) {
 	if s.MigrationBudget < 0 {
 		return s, fmt.Errorf("scenario: negative migration budget %d", s.MigrationBudget)
 	}
-	if s.ChurnDecay == 0 {
-		s.ChurnDecay = 0.5
-	}
-	if !(s.ChurnDecay >= 0 && s.ChurnDecay <= 1) { // NaN fails both
-		return s, fmt.Errorf("scenario: churn decay %g outside [0, 1]", s.ChurnDecay)
-	}
-	if s.IntervalDecay == 0 {
-		s.IntervalDecay = 0.7
-	}
-	if !(s.IntervalDecay >= 0 && s.IntervalDecay <= 1) {
-		return s, fmt.Errorf("scenario: interval decay %g outside [0, 1]", s.IntervalDecay)
-	}
 	return s, nil
 }
 
@@ -222,7 +205,8 @@ var defaultRotation = []string{"CG", "MG", "SP", "LU", "FT", "BT", "IS", "UA"}
 // With nTenants >= 3 the schedule exercises arrival, phase switch and
 // departure in one run. The interval length mirrors normalize's default
 // (1/8 of the shortest phase's nominal duration) so schedules land on
-// boundary times. Below one tenant the spec has none, which Run rejects.
+// boundary times. Below one tenant the spec has none, and a class NewNPB
+// rejects leaves the interval unset; Run rejects both.
 func DefaultSpec(nTenants int, class workloads.Class, seed int64) Spec {
 	minNominal := uint64(0)
 	kernels := make(map[string]bool)
@@ -238,7 +222,7 @@ func DefaultSpec(nTenants int, class workloads.Class, seed int64) Spec {
 	for _, k := range names {
 		w, err := workloads.NewNPB(k, 4, class)
 		if err != nil {
-			panic(err) // rotation names are constants
+			break // a bad class: the interval stays unset and Run reports the error
 		}
 		if nom := workloads.NominalCycles(w); minNominal == 0 || nom < minNominal {
 			minNominal = nom

@@ -221,37 +221,22 @@ type Runner struct {
 	// unobserved). One probe observes exactly one run.
 	Observe func(Config) *obs.Probe
 
-	// Probe, when set, records sweep progress events: sweep.start at
-	// virtual time 0, one exp.done per config at time index+1 (emitted in
-	// canonical order, so same-sweep traces are byte-identical regardless
-	// of scheduling), and sweep.done after the last config.
-	Probe *obs.Probe
-
 	// OnResult, when set, is called from a single collector goroutine as
 	// experiments finish — completion order, for live progress only.
 	OnResult func(Result)
 
-	// FaultPlan, when set, injects faults into every run: each config gets
-	// its own Injector seeded from (plan seed, run seed), so fault timing is
-	// as positional and worker-count-independent as the run seeds are. Nil
-	// (or an inactive plan) leaves every run on the exact fault-free paths.
-	FaultPlan *faultinject.Plan
-
-	// Shards selects each run's engine: 0 (the default) is the sequential
-	// engine; >= 1 runs every experiment on the epoch-sharded engine with
-	// that many intra-run workers (engine.Config.Shards). Sharded results
-	// are byte-identical for every value >= 1. Shards composes with
-	// Parallelism: total goroutines ≈ Parallelism × Shards, so callers
-	// should keep the product near GOMAXPROCS.
-	Shards int
-
-	// Runtime, when non-nil, records host wall-clock spans for the pool
-	// (per-worker experiment occupancy, queue latency) and gives every run
-	// its own engine proc (see internal/runtimeobs). It is purely an
-	// emission sink — the runner hands stamps in and never reads host time
-	// back — so attaching it cannot change results; the runtimeobs-isolation
-	// lint rule certifies that one-way contract package-wide.
-	Runtime *runtimeobs.Collector
+	// Options holds every run's engine (Shards, which composes with
+	// Parallelism: total goroutines ≈ Parallelism × Shards), fault plan and
+	// host-time collector. Each config's injector is seeded from (plan seed,
+	// run seed), so fault timing is as positional as the run seeds are. The
+	// collector gets the pool's lanes (per-worker occupancy, queue latency)
+	// and a proc per run; the runner only hands stamps in and never reads
+	// host time back, which the runtimeobs-isolation lint rule certifies.
+	// Options.Probe records the sweep's progress events: sweep.start at
+	// virtual time 0, one exp.done per config at time index+1 (in canonical
+	// order, so same-sweep traces are byte-identical regardless of
+	// scheduling), and sweep.done after the last config.
+	Options engine.RunOptions
 }
 
 // Run executes every config and returns the results in the order the
@@ -264,10 +249,8 @@ func (r *Runner) Run(configs []Config) ([]Result, error) {
 	if r.Parallelism < 0 {
 		return nil, fmt.Errorf("sweep: negative Parallelism %d", r.Parallelism)
 	}
-	if r.FaultPlan != nil {
-		if err := r.FaultPlan.Validate(); err != nil {
-			return nil, fmt.Errorf("sweep: %w", err)
-		}
+	if err := r.Options.Validate(); err != nil {
+		return nil, fmt.Errorf("sweep: %w", err)
 	}
 	workers := r.Parallelism
 	if workers == 0 {
@@ -281,12 +264,12 @@ func (r *Runner) Run(configs []Config) ([]Result, error) {
 	}
 
 	results := make([]Result, len(configs))
-	r.Probe.Emit(0, "sweep", "sweep.start", -1, obs.Uint("configs", uint64(len(configs))))
+	r.Options.Probe.Emit(0, "sweep", "sweep.start", -1, obs.Uint("configs", uint64(len(configs))))
 
 	// Host-time pool lanes: one per worker (experiment spans carry the
 	// config index) plus the pool-wide run span. All nil-safe no-ops when
 	// Runtime is detached.
-	rtProc := r.Runtime.Proc("sweep")
+	rtProc := r.Options.Runtime.Proc("sweep")
 	rtProc.SetMeta("kind", "sweep")
 	rtProc.SetMetaInt("workers", int64(workers))
 	rtProc.SetMetaInt("experiments", int64(len(configs)))
@@ -295,7 +278,7 @@ func (r *Runner) Run(configs []Config) ([]Result, error) {
 	for i := range rtLanes {
 		rtLanes[i] = rtProc.Lane(fmt.Sprintf("worker %d", i))
 	}
-	rtStart := r.Runtime.Now()
+	rtStart := r.Options.Runtime.Now()
 
 	jobs := make(chan int)
 	done := make(chan int)
@@ -316,10 +299,10 @@ func (r *Runner) Run(configs []Config) ([]Result, error) {
 			for next < len(configs) && completed[next] {
 				res := &results[next]
 				if res.Err != nil {
-					r.Probe.Emit(uint64(next)+1, "sweep", "exp.done", -1,
+					r.Options.Probe.Emit(uint64(next)+1, "sweep", "exp.done", -1,
 						obs.Str("key", res.Config.Key()), obs.Str("err", res.Err.Error()))
 				} else {
-					r.Probe.Emit(uint64(next)+1, "sweep", "exp.done", -1,
+					r.Options.Probe.Emit(uint64(next)+1, "sweep", "exp.done", -1,
 						obs.Str("key", res.Config.Key()))
 				}
 				next++
@@ -333,9 +316,9 @@ func (r *Runner) Run(configs []Config) ([]Result, error) {
 		go func(lane *runtimeobs.Lane) {
 			defer wg.Done()
 			for i := range jobs {
-				expStart := r.Runtime.Now()
+				expStart := r.Options.Runtime.Now()
 				results[i] = r.runOne(configs[i])
-				lane.SpanAt(runtimeobs.SpanExperiment, expStart, r.Runtime.Now(), -1, int64(i))
+				lane.SpanAt(runtimeobs.SpanExperiment, expStart, r.Options.Runtime.Now(), -1, int64(i))
 				done <- i
 			}
 		}(rtLanes[w])
@@ -356,9 +339,9 @@ func (r *Runner) Run(configs []Config) ([]Result, error) {
 			ok++
 		}
 	}
-	r.Probe.Emit(uint64(len(configs))+1, "sweep", "sweep.done", -1,
+	r.Options.Probe.Emit(uint64(len(configs))+1, "sweep", "sweep.done", -1,
 		obs.Uint("ok", uint64(ok)), obs.Uint("failed", uint64(failed)))
-	rtPool.SpanAt(runtimeobs.SpanRun, rtStart, r.Runtime.Now(), -1, int64(len(configs)))
+	rtPool.SpanAt(runtimeobs.SpanRun, rtStart, r.Options.Runtime.Now(), -1, int64(len(configs)))
 	return results, nil
 }
 
@@ -368,8 +351,8 @@ func (r *Runner) Run(configs []Config) ([]Result, error) {
 func (r *Runner) runOne(c Config) (res Result) {
 	res.Config = c
 	digest := ""
-	if r.FaultPlan != nil {
-		digest = r.FaultPlan.Digest()
+	if r.Options.Faults != (faultinject.Plan{}) {
+		digest = r.Options.Faults.Digest()
 	}
 	defer func() {
 		if v := recover(); v != nil {
@@ -395,35 +378,22 @@ func (r *Runner) runOne(c Config) (res Result) {
 		res.Err = fmt.Errorf("sweep: %s: %w", c.Key(), err)
 		return res
 	}
+	// The run's own probe replaces the sweep's progress probe.
+	o := r.Options
+	o.Probe = nil
 	if r.Observe != nil {
-		res.Probe = r.Observe(c)
+		o.Probe = r.Observe(c)
 	}
-	var inj *faultinject.Injector
-	if r.FaultPlan != nil {
-		inj = faultinject.NewInjector(*r.FaultPlan, seed)
-	}
+	res.Probe = o.Probe
 	// Each observed run gets its own host-time proc so its engine lanes
-	// (shard workers, barrier) group separately in the merged trace. Guarded
-	// rather than relying on nil-safety alone: Key() allocates.
-	var rtp *runtimeobs.Proc
-	if r.Runtime != nil {
-		rtp = r.Runtime.Proc("run " + c.Key())
-	}
-	m, err := engine.Run(engine.Config{
-		Machine:  r.Machine,
-		Workload: w,
-		Policy:   p,
-		Seed:     seed,
-		Probe:    res.Probe,
-		Injector: inj,
-		Shards:   r.Shards,
-		Runtime:  rtp,
-	})
+	// (shard workers, barrier) group separately in the merged trace.
+	cfg := o.Config(r.Machine, w, p, seed, func() string { return "run " + c.Key() })
+	m, err := engine.Run(cfg)
 	if err != nil {
 		res.Err = fmt.Errorf("sweep: %s: %w", c.Key(), err)
 		return res
 	}
 	res.Metrics = m
-	res.Faults = inj.SiteCounts()
+	res.Faults = cfg.Injector.SiteCounts()
 	return res
 }

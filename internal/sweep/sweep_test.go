@@ -3,9 +3,11 @@ package sweep
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
+	"spcd/internal/engine"
 	"spcd/internal/faultinject"
 	"spcd/internal/obs"
 	"spcd/internal/topology"
@@ -144,7 +146,7 @@ func TestPanicCaptureReplayCoordinates(t *testing.T) {
 		{Workload: panicWorkload{w}, Policy: "os", Rep: 1},
 		{Kernel: "SP", Class: workloads.ClassTest, Threads: 8, Policy: "os"},
 	}
-	r := Runner{Machine: mach, MasterSeed: 7, Parallelism: len(configs), FaultPlan: &plan}
+	r := Runner{Machine: mach, MasterSeed: 7, Parallelism: len(configs), Options: engine.RunOptions{Faults: plan}}
 	results, err := r.Run(configs)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +213,7 @@ func TestFaultedSweepDeterministic(t *testing.T) {
 	}
 	var base string
 	for _, workers := range []int{1, 8} {
-		r := Runner{Machine: mach, MasterSeed: 42, Parallelism: workers, FaultPlan: &plan}
+		r := Runner{Machine: mach, MasterSeed: 42, Parallelism: workers, Options: engine.RunOptions{Faults: plan}}
 		results, err := r.Run(testConfigs(t))
 		if err != nil {
 			t.Fatal(err)
@@ -264,7 +266,7 @@ func TestSweepProbeEvents(t *testing.T) {
 	var base string
 	for _, workers := range []int{1, 8} {
 		pr := obs.New(obs.Options{})
-		r := Runner{Machine: mach, Parallelism: workers, Probe: pr}
+		r := Runner{Machine: mach, Parallelism: workers, Options: engine.RunOptions{Probe: pr}}
 		if _, err := r.Run(configs); err != nil {
 			t.Fatal(err)
 		}
@@ -368,15 +370,37 @@ func TestSeedKeyExcludesPolicy(t *testing.T) {
 	}
 }
 
-// TestRunnerValidation: a runner without a machine errors; an empty config
-// list yields an empty, event-framed sweep.
+// TestRunnerValidation: a runner without a machine, with a negative
+// Parallelism or Shards, or with a fault plan field out of range errors
+// before any run, naming the field; an empty config list yields an empty,
+// event-framed sweep.
 func TestRunnerValidation(t *testing.T) {
 	r := Runner{}
 	if _, err := r.Run(testConfigs(t)); err == nil {
 		t.Error("nil machine should error")
 	}
+	nan := math.NaN()
+	for _, c := range []struct {
+		want string
+		r    Runner
+	}{
+		{"Parallelism", Runner{Parallelism: -1}},
+		{"Shards", Runner{Options: engine.RunOptions{Shards: -1}}},
+		{"StallRate", Runner{Options: engine.RunOptions{Faults: faultinject.Plan{Seed: 1, FaultDupRate: 0.01, StallRate: nan}}}},
+		{"FaultDropRate", Runner{Options: engine.RunOptions{Faults: faultinject.Plan{Seed: 1, FaultDropRate: nan}}}},
+		{"MigrateFailRate", Runner{Options: engine.RunOptions{Faults: faultinject.Plan{Seed: 1, MigrateFailRate: -0.1}}}},
+		{"RemapDelayRate", Runner{Options: engine.RunOptions{Faults: faultinject.Plan{Seed: 1, RemapDelayRate: 1.5}}}},
+		{"NodeCapacityFactor", Runner{Options: engine.RunOptions{Faults: faultinject.Plan{Seed: 1, FaultDupRate: 0.01, NodeCapacityFactor: nan}}}},
+		{"Intensity", Runner{Options: engine.RunOptions{Faults: faultinject.DefaultPlan(1, nan)}}},
+	} {
+		c.r.Machine = topology.DefaultXeon()
+		results, err := c.r.Run(testConfigs(t))
+		if err == nil || !strings.Contains(err.Error(), c.want) || results != nil {
+			t.Errorf("bad %s: %d results, error %v; want no results and an error naming it", c.want, len(results), err)
+		}
+	}
 	pr := obs.New(obs.Options{})
-	r2 := Runner{Machine: topology.DefaultXeon(), Probe: pr}
+	r2 := Runner{Machine: topology.DefaultXeon(), Options: engine.RunOptions{Probe: pr}}
 	results, err := r2.Run(nil)
 	if err != nil || len(results) != 0 {
 		t.Fatalf("empty sweep: %v, %d results", err, len(results))

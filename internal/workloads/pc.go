@@ -20,13 +20,17 @@ type ProducerConsumer struct {
 
 // NewProducerConsumer creates the benchmark. threads must be even and >= 4
 // so both phases produce distinct pairings. phases is the number of phase
-// switches + 1; phaseLength is per-thread accesses in each phase.
+// switches + 1; phaseLength is per-thread accesses in each phase. The
+// class must pass Validate; its Accesses is unused.
 func NewProducerConsumer(threads int, class Class, phases int, phaseLength uint64) (*ProducerConsumer, error) {
 	if threads < 4 || threads%2 != 0 {
 		return nil, fmt.Errorf("workloads: producer/consumer needs an even thread count >= 4, got %d", threads)
 	}
 	if phases < 1 || phaseLength == 0 {
 		return nil, fmt.Errorf("workloads: invalid phases (%d) or phase length (%d)", phases, phaseLength)
+	}
+	if err := class.Validate(); err != nil {
+		return nil, err
 	}
 	return &ProducerConsumer{threads: threads, class: class, phases: phases, phaseLength: phaseLength}, nil
 }

@@ -16,6 +16,28 @@ type Class struct {
 	ComputePerMemop int    // compute cycles between accesses
 }
 
+// Validate rejects a negative page count or ComputePerMemop, naming the
+// field. Region sizes are page counts times PageBytes as unsigned values, so
+// a negative count would map exabytes, and a negative compute gap wraps the
+// instruction count. Zero is valid; the workloads that read Accesses check
+// it themselves.
+func (c Class) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"PrivatePages", c.PrivatePages},
+		{"BoundaryPages", c.BoundaryPages},
+		{"GlobalPages", c.GlobalPages},
+		{"ComputePerMemop", c.ComputePerMemop},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("workloads: class %q %s = %d, want a value >= 0", c.Name, f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // Predefined classes. Sizes balance two constraints: footprints must span
 // enough pages for page-granularity detection to see the sharing structure,
 // while accesses-per-line must be high enough that cold misses do not
@@ -72,7 +94,7 @@ func (s SynthSpec) Validate() error {
 	case s.Class.Accesses == 0:
 		return fmt.Errorf("workloads: class has zero accesses")
 	}
-	return nil
+	return s.Class.Validate()
 }
 
 // Synth is the generic synthetic kernel.

@@ -70,7 +70,8 @@ func TestObservedArtifactsDeterministic(t *testing.T) {
 }
 
 // TestExperimentObserve checks the Experiment integration: the Observe hook
-// receives every (policy, rep) pair and its probes record the runs.
+// receives every (policy, rep) pair and its probes record the runs, and
+// Options.Probe records the grid's progress events in canonical order.
 func TestExperimentObserve(t *testing.T) {
 	mach := spcd.DefaultMachine()
 	w, err := spcd.NPB("CG", 8, spcd.ClassTest)
@@ -79,11 +80,13 @@ func TestExperimentObserve(t *testing.T) {
 	}
 	var mu sync.Mutex
 	probes := make(map[string]*spcd.Probe)
+	progress := spcd.NewProbe(spcd.ObsOptions{})
 	_, err = spcd.Experiment{
 		Machine:  mach,
 		Workload: w,
 		Policies: []string{"os", "spcd"},
 		Reps:     2,
+		Options:  spcd.RunOptions{Probe: progress},
 		Observe: func(policy string, rep int) *spcd.Probe {
 			pr := spcd.NewProbe(spcd.ObsOptions{})
 			mu.Lock()
@@ -102,5 +105,24 @@ func TestExperimentObserve(t *testing.T) {
 		if len(pr.Samples()) == 0 {
 			t.Errorf("%s: probe recorded no samples", key)
 		}
+	}
+	var got []string
+	for _, ev := range progress.Events() {
+		line := fmt.Sprintf("%d %s", ev.Time, ev.Name)
+		for _, a := range ev.Args {
+			if a.Key == "key" {
+				line += " " + a.StrVal()
+			}
+		}
+		got = append(got, line)
+	}
+	want := []string{
+		"0 sweep.start",
+		"1 exp.done CG/os/r0", "2 exp.done CG/os/r1",
+		"3 exp.done CG/spcd/r0", "4 exp.done CG/spcd/r1",
+		"5 sweep.done",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("progress events:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

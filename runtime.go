@@ -23,23 +23,9 @@ type RuntimeCollector = runtimeobs.Collector
 // from now. One collector can observe many runs (a whole sweep).
 func NewRuntimeCollector() *RuntimeCollector { return runtimeobs.New() }
 
-// WriteRuntimeTrace exports the collector's spans as a Chrome trace with
-// host-time lanes ("host: ..." process groups), loadable in
-// chrome://tracing or Perfetto alongside — or merged with — the
-// virtual-time trace.
-func WriteRuntimeTrace(w io.Writer, rt *RuntimeCollector) error {
-	return runtimeobs.WriteChromeTrace(w, rt)
-}
-
 // WriteRuntimeSummary exports the collector's derived diagnostics
 // (barrier-stall fraction, load-imbalance ratio, merge share,
 // critical-path attribution) as an indented JSON document.
 func WriteRuntimeSummary(w io.Writer, rt *RuntimeCollector) error {
 	return runtimeobs.WriteSummary(w, rt)
-}
-
-// WriteRuntimeArtifacts writes runtime_trace.json and runtime_summary.json
-// under dir — the same artifact pair the tools' -runtimeobs flag produces.
-func WriteRuntimeArtifacts(dir string, rt *RuntimeCollector) error {
-	return runtimeobs.WriteArtifacts(dir, rt)
 }

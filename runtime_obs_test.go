@@ -10,11 +10,11 @@ import (
 	"spcd"
 )
 
-// renderRuntimeLeg runs the CG experiment (os + spcd, two reps) on the
-// given engine configuration and renders every run's metrics byte for byte.
-// rt, when non-nil, attaches the host-time collector — whose presence is
-// exactly what this file proves changes nothing.
-func renderRuntimeLeg(t *testing.T, shards int, faults *spcd.FaultPlan, rt *spcd.RuntimeCollector) string {
+// renderRuntimeLeg runs the CG experiment (os + spcd, two reps) under the
+// given run options and renders every run's metrics byte for byte.
+// o.Runtime, when non-nil, attaches the host-time collector — whose presence
+// is exactly what this file proves changes nothing.
+func renderRuntimeLeg(t *testing.T, o spcd.RunOptions) string {
 	t.Helper()
 	w, err := spcd.NPB("CG", 8, spcd.ClassTest)
 	if err != nil {
@@ -26,9 +26,7 @@ func renderRuntimeLeg(t *testing.T, shards int, faults *spcd.FaultPlan, rt *spcd
 		Policies: []string{"os", "spcd"},
 		Reps:     2,
 		BaseSeed: 7,
-		Shards:   shards,
-		Faults:   faults,
-		Runtime:  rt,
+		Options:  o,
 	}
 	res, err := e.Run()
 	if err != nil {
@@ -49,35 +47,53 @@ func renderRuntimeLeg(t *testing.T, shards int, faults *spcd.FaultPlan, rt *spcd
 	return buf.String()
 }
 
+// renderServeLeg serves the canonical three-tenant churn schedule under the
+// given run options and renders the report and its per-tenant CSV.
+func renderServeLeg(t *testing.T, o spcd.RunOptions) string {
+	t.Helper()
+	s := spcd.DefaultScenario(3, spcd.ClassTest, 42)
+	s.Options = o
+	rep, err := spcd.Serve(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	buf.WriteString(rep.Render())
+	if err := rep.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
 // TestRuntimeObsByteIdentity is the one-way contract's acceptance gate:
 // attaching a RuntimeCollector must leave simulation results byte-identical
-// on the sequential engine, the epoch-sharded engine, and the sharded
-// chaos (fault-injected) path. The spcdlint runtimeobs-isolation rule
-// proves no host-time value can flow back statically; this proves it
-// dynamically, metrics byte for byte.
+// on the sequential engine, the epoch-sharded engine, the sharded chaos
+// (fault-injected) path and the serving scenario's interval runs. The
+// spcdlint runtimeobs-isolation rule proves no host-time value can flow
+// back statically; this proves it dynamically, byte for byte.
 func TestRuntimeObsByteIdentity(t *testing.T) {
-	chaos := spcd.CanonicalFaultPlan(9)
 	legs := []struct {
 		name   string
-		shards int
-		faults *spcd.FaultPlan
+		render func(*testing.T, spcd.RunOptions) string
+		opts   spcd.RunOptions
 	}{
-		{"sequential", 0, nil},
-		{"sharded4", 4, nil},
-		{"sharded4-chaos", 4, &chaos},
+		{"sequential", renderRuntimeLeg, spcd.RunOptions{}},
+		{"sharded4", renderRuntimeLeg, spcd.RunOptions{Shards: 4}},
+		{"sharded4-chaos", renderRuntimeLeg, spcd.RunOptions{Shards: 4, Faults: spcd.CanonicalFaultPlan(9)}},
+		{"serve", renderServeLeg, spcd.RunOptions{}},
 	}
 	for _, leg := range legs {
 		t.Run(leg.name, func(t *testing.T) {
-			base := renderRuntimeLeg(t, leg.shards, leg.faults, nil)
-			rt := spcd.NewRuntimeCollector()
-			got := renderRuntimeLeg(t, leg.shards, leg.faults, rt)
-			if got != base {
-				t.Errorf("metrics with RuntimeCollector attached differ from unobserved run")
+			base := leg.render(t, leg.opts)
+			observed := leg.opts
+			observed.Runtime = spcd.NewRuntimeCollector()
+			if got := leg.render(t, observed); got != base {
+				t.Errorf("output with RuntimeCollector attached differs from the unobserved run")
 			}
 			// The observed leg must actually have observed something, or the
 			// identity above proves nothing.
 			var buf bytes.Buffer
-			if err := spcd.WriteRuntimeSummary(&buf, rt); err != nil {
+			if err := spcd.WriteRuntimeSummary(&buf, observed.Runtime); err != nil {
 				t.Fatal(err)
 			}
 			var sum runtimeSummaryDoc
@@ -209,9 +225,8 @@ func TestShardedTraceShardAttribution(t *testing.T) {
 			Policies: []string{"spcd"},
 			Reps:     1,
 			BaseSeed: 7,
-			Shards:   shards,
+			Options:  spcd.RunOptions{Shards: shards, Faults: plan},
 			Observe:  func(string, int) *spcd.Probe { return pr },
-			Faults:   &plan,
 		}
 		if _, err := e.Run(); err != nil {
 			t.Fatal(err)

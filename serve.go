@@ -93,9 +93,10 @@ func (r *ScenarioResults) MeanCrossSocketC2C(policyName string) (float64, error)
 // axis: rep r uses master seed DeriveSeed(BaseSeed, "scenario/r<r>") under
 // every policy — the key excludes the policy name, so policies under
 // comparison serve identical tenant streams. The experiment's Workload field
-// is ignored (the spec carries the workload mix); Machine, when set, fills a
-// spec without one. Reports are byte-identical at every Parallelism and
-// Shards setting.
+// is ignored (the spec carries the workload mix). Machine and the Shards,
+// Faults and Runtime options each fill a spec setting left at zero; the
+// spec's Probe is its own. Reports are byte-identical at every Parallelism
+// and Shards setting.
 func (e Experiment) Scenario(spec Scenario) (*ScenarioResults, error) {
 	if len(spec.Tenants) == 0 {
 		return nil, errors.New("spcd: scenario experiment needs tenants")
@@ -117,12 +118,14 @@ func (e Experiment) Scenario(spec Scenario) (*ScenarioResults, error) {
 			s := spec
 			s.Policy = name
 			s.MasterSeed = sweep.DeriveSeed(e.BaseSeed, fmt.Sprintf("scenario/r%d", r))
-			if s.Shards == 0 {
-				s.Shards = e.Shards
+			if s.Options.Shards == 0 {
+				s.Options.Shards = e.Options.Shards
 			}
-			if e.Faults != nil && s.Faults == nil {
-				plan := *e.Faults
-				s.Faults = &plan
+			if s.Options.Faults == (FaultPlan{}) {
+				s.Options.Faults = e.Options.Faults
+			}
+			if s.Options.Runtime == nil {
+				s.Options.Runtime = e.Options.Runtime
 			}
 			specs = append(specs, s)
 		}

@@ -11,11 +11,11 @@ import (
 )
 
 // TestBadRunSettingsAreErrors: zero keeps each setting's documented
-// default, but a negative count, a NaN decay, an unknown suite or a fault
-// plan with a field outside its range is an error that names it, from every
-// library entry point that takes it. Each case has a deadline, because an
-// unchecked NaN stall rate stalls every scheduling slice and the run never
-// returns.
+// default, but a negative count, an unknown suite, a fault plan with a field
+// outside its range or a workload class with a negative size is an error
+// that names it, from every library entry point that takes it, before any
+// run starts. Each case has a deadline, because an unchecked NaN stall rate
+// stalls every scheduling slice and the run never returns.
 func TestBadRunSettingsAreErrors(t *testing.T) {
 	mach := spcd.DefaultMachine()
 	w, err := spcd.NPB("CG", 8, spcd.ClassTest)
@@ -31,11 +31,8 @@ func TestBadRunSettingsAreErrors(t *testing.T) {
 	sweep := spcd.Sweep{Machine: mach, Kernels: []string{"CG"}, Class: spcd.ClassTest,
 		Threads: 8, Policies: []string{"os"}, Reps: 1}
 	runSweep := func(s spcd.Sweep) error {
-		res, err := s.Run()
-		if err != nil {
-			return err
-		}
-		return res.FirstErr() // per-config failures surface here
+		_, err := s.Run() // checked before any run, not per config
+		return err
 	}
 	serve := func(s spcd.Scenario) error {
 		_, err := spcd.Serve(s)
@@ -47,10 +44,6 @@ func TestBadRunSettingsAreErrors(t *testing.T) {
 		want string
 	}
 	cases := []setting{
-		{"Run Shards", func() error {
-			_, err := spcd.Run(mach, w, "os", 1, spcd.RunOptions{Shards: -1})
-			return err
-		}, "Shards"},
 		{"Experiment.Run Reps", func() error {
 			e := exp
 			e.Reps = -2
@@ -63,12 +56,6 @@ func TestBadRunSettingsAreErrors(t *testing.T) {
 			_, err := e.Run()
 			return err
 		}, "Parallelism"},
-		{"Experiment.Run Shards", func() error {
-			e := exp
-			e.Shards = -1
-			_, err := e.Run()
-			return err
-		}, "Shards"},
 		{"Experiment.Scenario Reps", func() error {
 			e := exp
 			e.Reps = -5
@@ -81,12 +68,6 @@ func TestBadRunSettingsAreErrors(t *testing.T) {
 			_, err := e.Scenario(spec(func(*spcd.Scenario) {}))
 			return err
 		}, "parallelism"},
-		{"Experiment.Scenario Shards", func() error {
-			e := exp
-			e.Policies, e.Shards = []string{"static"}, -1
-			_, err := e.Scenario(spec(func(*spcd.Scenario) {}))
-			return err
-		}, "Shards"},
 		{"Sweep.Run Threads", func() error {
 			s := sweep
 			s.Threads = -4
@@ -102,11 +83,6 @@ func TestBadRunSettingsAreErrors(t *testing.T) {
 			s.Parallelism = -1
 			return runSweep(s)
 		}, "Parallelism"},
-		{"Sweep.Run Shards", func() error {
-			s := sweep
-			s.Shards = -1
-			return runSweep(s)
-		}, "Shards"},
 		{"Sweep.Run Suite", func() error {
 			s := sweep
 			s.Suite, s.Kernels = "spec", nil
@@ -115,51 +91,80 @@ func TestBadRunSettingsAreErrors(t *testing.T) {
 		{"Serve MaxIntervals", func() error {
 			return serve(spec(func(s *spcd.Scenario) { s.MaxIntervals = -3 }))
 		}, "max intervals"},
-		{"Serve ChurnDecay", func() error {
-			return serve(spec(func(s *spcd.Scenario) { s.ChurnDecay = math.NaN() }))
-		}, "churn decay"},
-		{"Serve IntervalDecay", func() error {
-			return serve(spec(func(s *spcd.Scenario) { s.IntervalDecay = math.NaN() }))
-		}, "interval decay"},
-		{"Serve Shards", func() error {
-			return serve(spec(func(s *spcd.Scenario) { s.Shards = -1 }))
-		}, "Shards"},
 		{"Serve DefaultScenario tenants", func() error {
 			return serve(spcd.DefaultScenario(-1, spcd.ClassTest, 42))
 		}, "no tenants"},
 	}
+	// Every run setting goes through all five entry points.
 	nan := math.NaN()
-	for _, p := range []struct {
+	for _, o := range []struct {
 		name, want string
-		plan       spcd.FaultPlan
+		opts       spcd.RunOptions
 	}{
-		{"NaN stall rate", "StallRate", spcd.FaultPlan{Seed: 1, FaultDupRate: 0.01, StallRate: nan}},
-		{"NaN drop rate", "FaultDropRate", spcd.FaultPlan{Seed: 1, FaultDropRate: nan}},
-		{"negative rate", "MigrateFailRate", spcd.FaultPlan{Seed: 1, MigrateFailRate: -0.1}},
-		{"rate above 1", "RemapDelayRate", spcd.FaultPlan{Seed: 1, RemapDelayRate: 1.5}},
-		{"NaN capacity factor", "NodeCapacityFactor", spcd.FaultPlan{Seed: 1, FaultDupRate: 0.01, NodeCapacityFactor: nan}},
-		{"DefaultFaultPlan(1, NaN)", "Intensity", spcd.DefaultFaultPlan(1, nan)},
+		{"Shards", "Shards", spcd.RunOptions{Shards: -1}},
+		{"NaN stall rate", "StallRate", spcd.RunOptions{Faults: spcd.FaultPlan{Seed: 1, FaultDupRate: 0.01, StallRate: nan}}},
+		{"NaN drop rate", "FaultDropRate", spcd.RunOptions{Faults: spcd.FaultPlan{Seed: 1, FaultDropRate: nan}}},
+		{"negative rate", "MigrateFailRate", spcd.RunOptions{Faults: spcd.FaultPlan{Seed: 1, MigrateFailRate: -0.1}}},
+		{"rate above 1", "RemapDelayRate", spcd.RunOptions{Faults: spcd.FaultPlan{Seed: 1, RemapDelayRate: 1.5}}},
+		{"NaN capacity factor", "NodeCapacityFactor", spcd.RunOptions{Faults: spcd.FaultPlan{Seed: 1, FaultDupRate: 0.01, NodeCapacityFactor: nan}}},
+		{"DefaultFaultPlan(1, NaN)", "Intensity", spcd.RunOptions{Faults: spcd.DefaultFaultPlan(1, nan)}},
 	} {
-		plan := p.plan
+		opts := o.opts
 		cases = append(cases,
-			setting{"Run " + p.name, func() error {
-				_, err := spcd.Run(mach, w, "spcd", 1, spcd.RunOptions{Faults: plan})
+			setting{"Run " + o.name, func() error {
+				_, err := spcd.Run(mach, w, "spcd", 1, opts)
 				return err
-			}, p.want},
-			setting{"Experiment.Run " + p.name, func() error {
+			}, o.want},
+			setting{"Experiment.Run " + o.name, func() error {
 				e := exp
-				e.Faults = &plan
+				e.Options = opts
 				_, err := e.Run()
 				return err
-			}, p.want},
-			setting{"Sweep.Run " + p.name, func() error {
+			}, o.want},
+			setting{"Experiment.Scenario " + o.name, func() error {
+				e := exp
+				e.Policies, e.Options = []string{"static"}, opts
+				_, err := e.Scenario(spec(func(*spcd.Scenario) {}))
+				return err
+			}, o.want},
+			setting{"Sweep.Run " + o.name, func() error {
 				s := sweep
-				s.Faults = &plan
+				s.Options = opts
 				return runSweep(s)
-			}, p.want},
-			setting{"Serve " + p.name, func() error {
-				return serve(spec(func(s *spcd.Scenario) { s.Faults = &plan }))
-			}, p.want})
+			}, o.want},
+			setting{"Serve " + o.name, func() error {
+				return serve(spec(func(s *spcd.Scenario) { s.Options = opts }))
+			}, o.want})
+	}
+	// Every class size goes through every workload constructor. Unchecked,
+	// a negative page count maps an exabyte region and the run dies out of
+	// memory, and a negative compute gap wraps the instruction count or
+	// never returns.
+	runWorkload := func(w spcd.Workload, err error) error {
+		if err != nil {
+			return err
+		}
+		_, err = spcd.Run(mach, w, "spcd", 1)
+		return err
+	}
+	for _, c := range []struct {
+		field string
+		edit  func(*spcd.Class)
+	}{
+		{"PrivatePages", func(c *spcd.Class) { c.PrivatePages = -1 }},
+		{"BoundaryPages", func(c *spcd.Class) { c.BoundaryPages = -1 }},
+		{"GlobalPages", func(c *spcd.Class) { c.GlobalPages = -1 }},
+		{"ComputePerMemop", func(c *spcd.Class) { c.ComputePerMemop = -5 }},
+	} {
+		bad, field := spcd.ClassTest, c.field
+		c.edit(&bad)
+		cases = append(cases,
+			setting{"NPB " + field, func() error { return runWorkload(spcd.NPB("CG", 8, bad)) }, field},
+			setting{"Parsec " + field, func() error { return runWorkload(spcd.Parsec("dedup", 8, bad)) }, field},
+			setting{"ProducerConsumer " + field, func() error {
+				return runWorkload(spcd.ProducerConsumer(8, bad, 2, 100))
+			}, field},
+			setting{"Serve " + field, func() error { return serve(spcd.DefaultScenario(3, bad, 1)) }, field})
 	}
 	for _, c := range cases {
 		done := make(chan error, 1)

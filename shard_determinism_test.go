@@ -14,7 +14,7 @@ import (
 // engine with the given intra-run worker count and renders every
 // experiment's metrics — including the detected communication matrix, byte
 // for byte — into one string.
-func renderShardedSweep(t *testing.T, shards int, cls spcd.Class, faults *spcd.FaultPlan) string {
+func renderShardedSweep(t *testing.T, shards int, cls spcd.Class) string {
 	t.Helper()
 	s := spcd.Sweep{
 		Machine:    spcd.DefaultMachine(),
@@ -22,8 +22,7 @@ func renderShardedSweep(t *testing.T, shards int, cls spcd.Class, faults *spcd.F
 		Threads:    8,
 		Reps:       1,
 		MasterSeed: 12345,
-		Shards:     shards,
-		Faults:     faults,
+		Options:    spcd.RunOptions{Shards: shards},
 	}
 	res, err := s.Run()
 	if err != nil {
@@ -68,9 +67,9 @@ func TestEngineShardingByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SWEEP_CLASS=%q: %v", clsName, err)
 	}
-	base := renderShardedSweep(t, 1, cls, nil)
+	base := renderShardedSweep(t, 1, cls)
 	for _, shards := range []int{2, 4, 8} {
-		if got := renderShardedSweep(t, shards, cls, nil); got != base {
+		if got := renderShardedSweep(t, shards, cls); got != base {
 			t.Errorf("class %s grid at shards=%d differs from shards=1", clsName, shards)
 		}
 	}
@@ -97,8 +96,7 @@ func TestEngineShardingByteIdenticalWithFaults(t *testing.T) {
 				Policies: []string{pol},
 				Reps:     2,
 				BaseSeed: 7,
-				Shards:   shards,
-				Faults:   &plan,
+				Options:  spcd.RunOptions{Shards: shards, Faults: plan},
 			}
 			res, err := e.Run()
 			if err != nil {

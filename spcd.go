@@ -28,7 +28,6 @@ import (
 
 	"spcd/internal/commmatrix"
 	"spcd/internal/engine"
-	"spcd/internal/faultinject"
 	"spcd/internal/heatmap"
 	"spcd/internal/mapping"
 	"spcd/internal/policy"
@@ -140,31 +139,12 @@ var PolicyNames = policy.Names
 // Metrics is the outcome of one simulated run.
 type Metrics = engine.Metrics
 
-// RunOptions holds Run's optional settings. The zero value runs the
-// sequential engine, fault-free and unobserved.
-type RunOptions struct {
-	// Shards selects the engine: 0 is the sequential engine; >= 1 runs the
-	// epoch-sharded engine with that many intra-run workers, clamped to the
-	// machine's core count; negative is an error. Sharded results are
-	// byte-identical for every worker count, but they intentionally differ
-	// from the sequential engine's: cross-core cache coherence and
-	// page-fault effects land at epoch boundaries instead of instantly (see
-	// DESIGN.md §13).
-	Shards int
-	// Faults is a fault-injection plan. Its fault sites fire at
-	// deterministic virtual-time points derived from (plan seed, run seed),
-	// and the policies degrade rather than fail. The zero plan is inactive.
-	Faults FaultPlan
-	// Probe, when non-nil, records the run's metrics time series and event
-	// trace, fault-degradation decisions included. Export it afterwards
-	// with WriteChromeTrace and WriteTimeSeriesCSV. One Probe observes
-	// exactly one run.
-	Probe *Probe
-	// Runtime, when non-nil, records host wall-clock spans: run-level
-	// phases for the sequential engine, per-worker per-epoch simulate /
-	// barrier-wait / merge spans for the sharded one.
-	Runtime *RuntimeCollector
-}
+// RunOptions holds the run-level settings every entry point takes: Shards
+// selects the engine (0 sequential, >= 1 the epoch-sharded engine; see
+// DESIGN.md §13), Faults arms a fault plan, Probe records the call's events
+// and Runtime its host wall-clock spans. The zero value runs the sequential
+// engine, fault-free and unobserved.
+type RunOptions = engine.RunOptions
 
 // Run executes workload w on machine m under the named policy and returns
 // the measured metrics. At most one RunOptions may be passed. Probes and
@@ -178,16 +158,14 @@ func Run(m *Machine, w Workload, policyName string, seed int64, opts ...RunOptio
 	if len(opts) == 1 {
 		o = opts[0]
 	}
-	if err := o.Faults.Validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return Metrics{}, err
 	}
 	p, err := policy.Tuned(policyName, w, m)
 	if err != nil {
 		return Metrics{}, err
 	}
-	return engine.Run(engine.Config{Machine: m, Workload: w, Policy: p, Seed: seed,
-		Shards: o.Shards, Probe: o.Probe, Injector: faultinject.NewInjector(o.Faults, seed),
-		Runtime: o.Runtime.Proc("run " + w.Name())})
+	return engine.Run(o.Config(m, w, p, seed, func() string { return "run " + w.Name() }))
 }
 
 // CommMatrix is a symmetric thread-communication matrix.
@@ -219,9 +197,13 @@ func ComputeMapping(mtx *CommMatrix, m *Machine) ([]int, error) {
 }
 
 // MappingCost evaluates a placement's communication cost under a matrix
-// (lower is better); it is the objective the mapping minimizes.
-func MappingCost(mtx *CommMatrix, m *Machine, affinity []int) float64 {
-	return mapping.Cost(mtx, m, affinity)
+// (lower is better); it is the objective the mapping minimizes. The
+// placement must give each of the matrix's threads its own context of m.
+func MappingCost(mtx *CommMatrix, m *Machine, affinity []int) (float64, error) {
+	if err := engine.CheckAffinity(affinity, mtx.N(), m.NumContexts(), make([]bool, m.NumContexts())); err != nil {
+		return 0, fmt.Errorf("spcd: %w", err)
+	}
+	return mapping.Cost(mtx, m, affinity), nil
 }
 
 // RenderHeatmap renders a communication matrix as an ASCII heatmap in the

@@ -92,8 +92,49 @@ func TestTraceAndMapping(t *testing.T) {
 	}
 	// Cost of the computed mapping beats an identity scatter.
 	id := []int{0, 16, 2, 18, 4, 20, 6, 22}
-	if spcd.MappingCost(mtx, mach, aff) >= spcd.MappingCost(mtx, mach, id) {
+	got, err := spcd.MappingCost(mtx, mach, aff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	split, err := spcd.MappingCost(mtx, mach, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got >= split {
 		t.Error("computed mapping should beat a split placement")
+	}
+}
+
+// TestMappingCostRejectsBadPlacements: a placement that is too short, names
+// a context the machine lacks, or puts two threads on one context is an
+// error, not a panic or a cost.
+func TestMappingCostRejectsBadPlacements(t *testing.T) {
+	mach := spcd.DefaultMachine()
+	w, err := spcd.NPB("CG", 8, spcd.ClassTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mtx := spcd.TraceCommunication(w, mach, 1)
+	for _, c := range []struct {
+		name string
+		aff  []int
+		want string
+	}{
+		{"short", []int{0, 1}, "covers 2 threads, want 8"},
+		{"unknown context", []int{0, 1, 2, 3, 4, 5, 6, 99}, "invalid context 99"},
+		{"context used twice", []int{0, 1, 2, 3, 4, 5, 6, 0}, "context 0 assigned to two threads"},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panic: %v", c.name, r)
+				}
+			}()
+			cost, err := spcd.MappingCost(mtx, mach, c.aff)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: MappingCost = %v, %v; want an error containing %q", c.name, cost, err, c.want)
+			}
+		}()
 	}
 }
 

@@ -3,7 +3,6 @@ package spcd
 import (
 	"errors"
 
-	"spcd/internal/obs"
 	"spcd/internal/sweep"
 	"spcd/internal/workloads"
 )
@@ -41,39 +40,18 @@ type Sweep struct {
 	// Parallelism bounds concurrent experiments: 0 selects GOMAXPROCS, 1
 	// runs sequentially, negative is an error. Results do not depend on it.
 	Parallelism int
-	// Shards selects each experiment's engine: 0 (the default) runs the
-	// sequential engine; >= 1 runs the epoch-sharded engine with that many
-	// intra-run workers; negative is an error. Sharded results are
-	// byte-identical for every value >= 1 (but intentionally differ from
-	// the sequential engine; see DESIGN.md §13). The total worker count is
-	// roughly Parallelism × Shards, so keep the product near GOMAXPROCS.
-	Shards int
-
-	// Seeder, when set, overrides the derived per-run seed. It must be a
-	// pure function of its arguments; the derivation exists so results
-	// stay independent of scheduling.
-	Seeder func(kernel, policy string, rep int) int64
-	// Observe, when set, may return a fresh Probe per experiment (called
-	// from concurrent workers; one probe observes exactly one run).
-	Observe func(kernel, policy string, rep int) *Probe
-	// Probe, when set, records the sweep's progress events (sweep.start,
-	// exp.done per config in canonical order, sweep.done).
-	Probe *Probe
 	// OnProgress, when set, is called from a single goroutine as
 	// experiments finish, in completion order: done of total, the
 	// finished config's key, and its error if it failed.
 	OnProgress func(done, total int, key string, err error)
 
-	// Faults, when set, injects the plan's faults into every experiment of
-	// the grid (each run gets its own deterministic injector derived from
-	// the plan and the run seed — the determinism contract above covers
-	// faulted sweeps too). Nil or an inactive plan runs the grid fault-free.
-	Faults *FaultPlan
-
-	// Runtime, when set, records host wall-clock spans for the sweep pool
-	// and every run in it (see RuntimeCollector). Strictly one-way, so
-	// results are unchanged; nil disables at zero cost.
-	Runtime *RuntimeCollector
+	// Options sets every experiment's engine (Shards composes with
+	// Parallelism, so keep Parallelism × Shards near GOMAXPROCS), fault
+	// plan and host-time collector; the determinism contract above covers
+	// faulted and sharded sweeps too. Its Probe records the sweep's
+	// progress events (sweep.start, exp.done per config in canonical
+	// order, sweep.done).
+	Options RunOptions
 }
 
 // SweepResults holds a sweep's outcome grouped per kernel, plus the
@@ -140,18 +118,7 @@ func (s Sweep) Run() (*SweepResults, error) {
 		Machine:     s.Machine,
 		MasterSeed:  s.MasterSeed,
 		Parallelism: s.Parallelism,
-		Probe:       s.Probe,
-		FaultPlan:   s.Faults,
-		Shards:      s.Shards,
-		Runtime:     s.Runtime,
-	}
-	if s.Seeder != nil {
-		//lint:ignore determinism-flow Seeder is the user-supplied seed derivation itself; its output becomes the run seed, so determinism is definitional here.
-		runner.Seeder = func(c sweep.Config) int64 { return s.Seeder(c.Kernel, c.Policy, c.Rep) }
-	}
-	if s.Observe != nil {
-		//lint:ignore determinism-flow Observe is a user-supplied probe factory invoked once per run before simulation; probes record events, they do not steer them.
-		runner.Observe = func(c sweep.Config) *obs.Probe { return s.Observe(c.Kernel, c.Policy, c.Rep) }
+		Options:     s.Options,
 	}
 	if s.OnProgress != nil {
 		done := 0
