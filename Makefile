@@ -61,15 +61,18 @@ bench-smoke:
 # hierarchy's MESI invariants and counter identities under random access
 # sequences. FuzzMaxWeightMatching checks Edmonds' matching against an
 # exhaustive search on graphs of up to ten vertices. FuzzTable checks the
-# SPCD hash table against a model of its overwrite-on-collision rules. Each
-# seed corpus is the package's testdata/fuzz; a crasher the fuzzer finds
-# lands there too and then runs on every `go test`.
+# SPCD hash table against a model of its overwrite-on-collision rules.
+# FuzzAddressSpace checks the MMU's accesses, present-bit clears, page
+# migrations and unmaps against a model of pages, TLBs and shootdown
+# sharers. Each seed corpus is the package's testdata/fuzz; a crasher the
+# fuzzer finds lands there too and then runs on every `go test`.
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzApplyStreams -fuzztime 20s ./internal/cache
 	go test -run '^$$' -fuzz FuzzReadMatrixCSV -fuzztime 10s ./internal/commmatrix
 	go test -run '^$$' -fuzz FuzzHierarchy -fuzztime 10s ./internal/cache
 	go test -run '^$$' -fuzz FuzzMaxWeightMatching -fuzztime 10s ./internal/matching
 	go test -run '^$$' -fuzz FuzzTable -fuzztime 10s ./internal/hashtab
+	go test -run '^$$' -fuzz FuzzAddressSpace -fuzztime 10s ./internal/vm
 
 # The smoke grids, each defined once and shared by the targets below.
 # OBS_GRID is the traced spcdobs run (obs-smoke, runtimeobs-smoke add the

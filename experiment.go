@@ -1,13 +1,10 @@
 package spcd
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
-	"spcd/internal/obs"
 	"spcd/internal/stats"
-	"spcd/internal/sweep"
 )
 
 // Metric identifies one of the quantities the paper's evaluation reports.
@@ -64,99 +61,11 @@ func MetricValue(m Metrics, metric Metric) (float64, error) {
 	return 0, fmt.Errorf("spcd: unknown metric %q", metric)
 }
 
-// Experiment runs one workload under several policies, repeated Reps times
-// with distinct seeds, mirroring the paper's methodology (§V-A: repeated
-// runs, averages, 95% confidence intervals).
-type Experiment struct {
-	Machine  *Machine
-	Workload Workload
-	Policies []string // defaults to PolicyNames
-	Reps     int      // 0 selects 3 (the paper uses 10); negative is an error
-	BaseSeed int64    // seeds are BaseSeed+1 .. BaseSeed+Reps
-
-	// Parallelism bounds how many simulations run concurrently. Each run
-	// is an independent, internally single-threaded simulation, so they
-	// parallelize perfectly. 0 selects GOMAXPROCS; 1 forces sequential
-	// execution; negative is an error.
-	Parallelism int
-
-	// Options sets every run's engine (Shards composes with Parallelism:
-	// the total worker count is roughly Parallelism × Shards), fault plan
-	// and host-time collector. Its Probe records the grid's progress
-	// events; each run's own probe comes from Observe.
-	Options RunOptions
-
-	// Observe, if set, is called once per run before it starts and may
-	// return a fresh Probe to record that run's time series and event
-	// trace (nil leaves the run unobserved). It must return a distinct
-	// Probe per call — one Probe observes exactly one run — and may be
-	// called from concurrent worker goroutines.
-	Observe func(policyName string, rep int) *Probe
-}
-
-// Results holds all runs of an experiment, indexed by policy.
+// Results holds all runs of one workload, indexed by policy.
 type Results struct {
 	Workload string
 	ByPolicy map[string][]Metrics
 	order    []string
-}
-
-// Run executes the experiment on the deterministic parallel sweep runner
-// (internal/sweep): policy × rep configs fan out over a bounded worker
-// pool, every run gets fresh engine/VM/cache instances, and the results
-// come back in canonical (policy-major, rep-minor) order regardless of the
-// worker count. Rep r runs with seed BaseSeed+r+1 under every policy — the
-// paper's methodology compares policies on identical workload streams.
-func (e Experiment) Run() (*Results, error) {
-	if e.Machine == nil || e.Workload == nil {
-		return nil, errors.New("spcd: experiment needs Machine and Workload")
-	}
-	policies := e.Policies
-	if len(policies) == 0 {
-		policies = PolicyNames
-	}
-	reps, err := orDefault("Experiment.Reps", e.Reps, 3)
-	if err != nil {
-		return nil, err
-	}
-	configs := make([]sweep.Config, 0, len(policies)*reps)
-	for _, name := range policies {
-		for r := 0; r < reps; r++ {
-			configs = append(configs, sweep.Config{Workload: e.Workload, Policy: name, Rep: r})
-		}
-	}
-	runner := sweep.Runner{
-		Machine:     e.Machine,
-		Parallelism: e.Parallelism,
-		Seeder:      func(c sweep.Config) int64 { return e.BaseSeed + int64(c.Rep) + 1 },
-		Options:     e.Options,
-	}
-	if e.Observe != nil {
-		//lint:ignore determinism-flow Observe is a user-supplied probe factory invoked once per run before simulation; probes record events, they do not steer them.
-		runner.Observe = func(c sweep.Config) *obs.Probe { return e.Observe(c.Policy, c.Rep) }
-	}
-	rs, err := runner.Run(configs)
-	if err != nil {
-		return nil, err
-	}
-	if err := sweep.FirstErr(rs); err != nil {
-		return nil, fmt.Errorf("spcd: %w", err)
-	}
-	res := &Results{
-		Workload: e.Workload.Name(),
-		ByPolicy: make(map[string][]Metrics, len(policies)),
-		order:    append([]string(nil), policies...),
-	}
-	i := 0
-	for _, name := range policies {
-		ms := make([]Metrics, reps)
-		for r := 0; r < reps; r++ {
-			ms[r] = rs[i].Metrics
-			i++
-		}
-		res.ByPolicy[name] = ms
-	}
-	return res, nil
 }
 
 // orDefault returns v, or def when v is zero. A negative v is an error

@@ -10,7 +10,7 @@ import (
 )
 
 // LockCheck enforces lock discipline in the few concurrent paths (the
-// Experiment worker pool being the main one):
+// sweep worker pool being the main one):
 //
 //   - no sync primitive (Mutex, RWMutex, WaitGroup, Once, Cond) may be
 //     copied by value — not as a parameter, not as a result, not by

@@ -8,8 +8,8 @@ import (
 
 // SeedProvenance enforces where random streams may come from: every seed
 // handed to rand.NewSource (and the v2 generators) must dataflow from the
-// run-seed derivation chain — DeriveSeed, DeriveSweepSeed, siteSeed, or a
-// seed-named config field or parameter. Literal seeds silently fork a
+// run-seed derivation chain — DeriveSeed, siteSeed, or a seed-named
+// config field or parameter. Literal seeds silently fork a
 // stream that ignores the run seed; wall-clock-derived seeds
 // (time.Now().UnixNano() and friends) and address-derived seeds
 // (uintptr(unsafe.Pointer(...))) make runs irreproducible outright. The
@@ -19,7 +19,7 @@ import (
 // seed-deriving, so honest wrappers need no annotations.
 var SeedProvenance = &ModuleAnalyzer{
 	Name: "seed-provenance",
-	Doc:  "rand.NewSource seeds must derive from DeriveSeed/DeriveSweepSeed/siteSeed or a seed field, never literals, clocks, or addresses",
+	Doc:  "rand.NewSource seeds must derive from DeriveSeed/siteSeed or a seed field, never literals, clocks, or addresses",
 	Run:  runSeedProvenance,
 }
 
@@ -30,9 +30,8 @@ const FactSeedDerives = "seed-provenance.derives"
 // deriveFuncs are the canonical seed-derivation functions, matched by name
 // in any package so the root module's wrappers qualify too.
 var deriveFuncs = map[string]bool{
-	"DeriveSeed":      true,
-	"DeriveSweepSeed": true,
-	"siteSeed":        true,
+	"DeriveSeed": true,
+	"siteSeed":   true,
 }
 
 // isSeedName reports whether an identifier names a seed by convention.
@@ -263,7 +262,7 @@ func runSeedProvenance(mp *ModulePass) {
 				c.walk(arg, &p, 0, map[types.Object]bool{})
 				for _, bad := range p.bads {
 					mp.Reportf(call.Pos(),
-						"rand source seed is %s; same-seed runs cannot reproduce — derive it via DeriveSeed/DeriveSweepSeed/siteSeed or a config seed field",
+						"rand source seed is %s; same-seed runs cannot reproduce — derive it via DeriveSeed/siteSeed or a config seed field",
 						bad.desc)
 				}
 				if len(p.bads) > 0 {
@@ -272,10 +271,10 @@ func runSeedProvenance(mp *ModulePass) {
 				if p.seed == 0 {
 					if p.other == 0 {
 						mp.Reportf(call.Pos(),
-							"rand source seed is a bare literal, detached from the run seed; derive it via DeriveSeed/DeriveSweepSeed/siteSeed or a config seed field so streams stay positional")
+							"rand source seed is a bare literal, detached from the run seed; derive it via DeriveSeed/siteSeed or a config seed field so streams stay positional")
 					} else {
 						mp.Reportf(call.Pos(),
-							"rand source seed does not dataflow from DeriveSeed/DeriveSweepSeed/siteSeed or a seed-named field/parameter; ad-hoc seeds fork streams the run seed cannot reproduce")
+							"rand source seed does not dataflow from DeriveSeed/siteSeed or a seed-named field/parameter; ad-hoc seeds fork streams the run seed cannot reproduce")
 					}
 				}
 			}

@@ -32,7 +32,7 @@ func badAddress() {
 }
 
 func badOpaque(n int64) {
-	_ = rand.NewSource(n) // want "rand source seed does not dataflow from DeriveSeed/DeriveSweepSeed/siteSeed or a seed-named field/parameter"
+	_ = rand.NewSource(n) // want "rand source seed does not dataflow from DeriveSeed/siteSeed or a seed-named field/parameter"
 }
 
 func goodParam(seed int64) {

@@ -28,7 +28,6 @@ package engine
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 
@@ -141,31 +140,23 @@ func (s *sim) epochLoop() error {
 	alive := n
 	for alive > 0 {
 		epochIdx++
-		// Skip empty epochs deterministically: if no live thread is below
-		// the boundary (long stall bursts, migration charges), jump to the
-		// first boundary above the minimum clock. Skipped tick boundaries
-		// still fire in order at the barrier's catch-up loop.
-		minClock := uint64(math.MaxUint64)
-		for _, th := range threads {
-			if !th.done && th.clock < minClock {
-				minClock = th.clock
-			}
-		}
-		if minClock >= epochEnd {
-			epochEnd = (minClock/epoch + 1) * epoch
-		}
-
 		// Partition live threads by the core their context belongs to; SMT
 		// siblings land on the same core and interleave inside one worker.
+		// An epoch no live thread's clock is below (serial init, long stall
+		// bursts, migration charges) starts no workers, since most epochs
+		// can be empty; its barrier still fires the epoch's ticks and
+		// snapshots before the next epoch runs.
 		for c := range coreThreads {
 			coreThreads[c] = coreThreads[c][:0]
 		}
+		runnable := false
 		for _, th := range threads {
 			if th.done {
 				continue
 			}
 			core := mach.CoreOf(affinity[th.id])
 			coreThreads[core] = append(coreThreads[core], th)
+			runnable = runnable || th.clock < epochEnd
 		}
 
 		// Parallel phase: worker i owns cores i, i+w, i+2w, ... The
@@ -174,7 +165,7 @@ func (s *sim) epochLoop() error {
 		// epoch (enforced by the sweep-parallel spcdlint rule).
 		tEpoch := rt.Now()
 		var wg sync.WaitGroup
-		for i := 0; i < w; i++ {
+		for i := 0; i < w && runnable; i++ {
 			wg.Add(1)
 			go func(wk *shardWorker, first int) {
 				defer wg.Done()
@@ -197,7 +188,7 @@ func (s *sim) epochLoop() error {
 		}
 		wg.Wait()
 		tBarrier := rt.Now()
-		if rt != nil {
+		if rt != nil && runnable {
 			// Barrier-wait: the gap between each working worker's finish and
 			// the barrier. Idle workers (no cores with live threads) are
 			// excluded so a thin epoch doesn't read as a stall.

@@ -4,8 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"spcd/internal/commmatrix"
 	"spcd/internal/engine"
 	"spcd/internal/faultinject"
+	"spcd/internal/obs"
 	"spcd/internal/policy"
 	"spcd/internal/topology"
 	"spcd/internal/workloads"
@@ -120,5 +122,66 @@ func TestShardedDefaultIsSequential(t *testing.T) {
 	}
 	if !reflect.DeepEqual(runWith(0), runWith(0)) {
 		t.Fatal("sequential engine not deterministic")
+	}
+}
+
+// tickLog keeps the OS scatter placement and records, at every tick, the
+// tick's time and how many translations the MMU has served so far.
+type tickLog struct {
+	env *engine.Env
+	log [][2]uint64
+}
+
+func (p *tickLog) Name() string                    { return "ticklog" }
+func (p *tickLog) Init(env *engine.Env) error      { p.env = env; return nil }
+func (p *tickLog) InitialAffinity() []int          { return policy.Scatter(p.env.Machine, p.env.NumThreads) }
+func (p *tickLog) Overheads() engine.Overheads     { return engine.Overheads{} }
+func (p *tickLog) FinalMatrix() *commmatrix.Matrix { return nil }
+func (p *tickLog) Tick(now uint64) []int {
+	p.log = append(p.log, [2]uint64{now, p.env.AS.Stats().Accesses})
+	return nil
+}
+
+// TestShardedEmptyEpochTicksMatchSequential: serial init leaves every
+// thread clock past many tick boundaries, so the epoch engine runs many
+// empty epochs. Their ticks must fire before any parallel access, as in the
+// sequential engine: every tick up to the end of serial init sees the same
+// MMU access count at Shards 1 as at Shards 0.
+func TestShardedEmptyEpochTicksMatchSequential(t *testing.T) {
+	w, err := workloads.NewNPB("CG", 8, workloads.ClassTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(shards int, probe *obs.Probe) [][2]uint64 {
+		p := &tickLog{}
+		if _, err := engine.Run(engine.Config{Machine: topology.DefaultXeon(), Workload: w,
+			Policy: p, Seed: 1, Shards: shards, Probe: probe}); err != nil {
+			t.Fatal(err)
+		}
+		return p.log
+	}
+	probe := obs.New(obs.Options{})
+	seq, sharded := run(0, probe), run(1, nil)
+	var initEnd uint64
+	for _, ev := range probe.Events() {
+		if ev.Name == "init.done" {
+			initEnd = ev.Time
+		}
+	}
+	n := 0
+	for n < len(seq) && seq[n][0] <= initEnd {
+		n++
+	}
+	if n < 2 {
+		t.Fatalf("%d ticks before the end of serial init at cycle %d; the test needs several", n, initEnd)
+	}
+	if len(sharded) < n {
+		t.Fatalf("sharded run logged %d ticks, sequential %d before the first parallel access", len(sharded), n)
+	}
+	for i := 0; i < n; i++ {
+		if sharded[i] != seq[i] {
+			t.Fatalf("tick %d of %d before the first parallel access: sequential (cycle, accesses) %v, sharded %v",
+				i, n, seq[i], sharded[i])
+		}
 	}
 }

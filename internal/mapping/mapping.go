@@ -134,15 +134,8 @@ func edgesFromMatrix(m *commmatrix.Matrix) []matching.Edge {
 func Compute(m *commmatrix.Matrix, mach *topology.Machine, match Matcher) ([]int, error) {
 	n := m.N()
 	contexts := mach.NumContexts()
-	if n > contexts {
-		return nil, fmt.Errorf("mapping: %d threads exceed %d contexts", n, contexts)
-	}
-	if contexts%mach.Sockets != 0 || !isPow2(contexts/mach.Sockets) {
-		return nil, fmt.Errorf("mapping: contexts per socket (%d) must be a power of two",
-			contexts/mach.Sockets)
-	}
-	if !isPow2(mach.Sockets) {
-		return nil, fmt.Errorf("mapping: socket count %d must be a power of two", mach.Sockets)
+	if err := checkShape(mach, n); err != nil {
+		return nil, err
 	}
 	if match == nil {
 		match = Edmonds
@@ -203,6 +196,24 @@ func Compute(m *commmatrix.Matrix, mach *topology.Machine, match Matcher) ([]int
 
 func isPow2(x int) bool { return x > 0 && x&(x-1) == 0 }
 
+// checkShape reports whether the hierarchical mapping can lay n threads out
+// on mach: every fold halves the group count, so both the socket count and
+// the contexts per socket must be powers of two.
+func checkShape(mach *topology.Machine, n int) error {
+	contexts := mach.NumContexts()
+	if n > contexts {
+		return fmt.Errorf("mapping: %d threads exceed %d contexts", n, contexts)
+	}
+	if contexts%mach.Sockets != 0 || !isPow2(contexts/mach.Sockets) {
+		return fmt.Errorf("mapping: contexts per socket (%d) must be a power of two",
+			contexts/mach.Sockets)
+	}
+	if !isPow2(mach.Sockets) {
+		return fmt.Errorf("mapping: socket count %d must be a power of two", mach.Sockets)
+	}
+	return nil
+}
+
 // Cost evaluates a mapping's communication cost: the sum over thread pairs
 // of communication volume times the machine's cache-to-cache latency at the
 // pair's placement distance. Lower is better. It is the objective the
@@ -252,8 +263,12 @@ type Mapper struct {
 }
 
 // NewMapper builds a Mapper for n threads on machine mach with the paper's
-// filter threshold of 2. A nil matcher selects Edmonds.
+// filter threshold of 2. A nil matcher selects Edmonds. A machine shape
+// Compute cannot lay out is an error here, before any evaluation.
 func NewMapper(mach *topology.Machine, n int, match Matcher) (*Mapper, error) {
+	if err := checkShape(mach, n); err != nil {
+		return nil, err
+	}
 	f, err := NewFilter(n, 2)
 	if err != nil {
 		return nil, err

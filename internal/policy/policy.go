@@ -58,7 +58,7 @@ func Scatter(m *topology.Machine, n int) []int {
 type OS struct {
 	mach *topology.Machine
 	n    int
-	aff  []int
+	aff  []int // current placement; Init scatters when TunedFrom left it nil
 	rng  *rand.Rand
 
 	churnInterval uint64  // cycles between load-balance decisions
@@ -78,7 +78,9 @@ func (p *OS) Name() string { return "os" }
 func (p *OS) Init(env *engine.Env) error {
 	p.mach = env.Machine
 	p.n = env.NumThreads
-	p.aff = Scatter(env.Machine, env.NumThreads)
+	if p.aff == nil {
+		p.aff = Scatter(env.Machine, env.NumThreads)
+	}
 	p.rng = rand.New(rand.NewSource(env.Seed*31 + 7))
 	if p.churnInterval == 0 {
 		p.churnInterval = env.Machine.SecondsToCycles(0.050)
@@ -115,6 +117,11 @@ func (p *OS) Tick(now uint64) []int {
 	}
 	return append([]int(nil), p.aff...)
 }
+
+// Rebase replaces the placement the next swap starts from with aff, the
+// placement actually applied (the serving layer's churn governor may admit
+// only part of a proposal, or none of it).
+func (p *OS) Rebase(aff []int) { copy(p.aff, aff) }
 
 // Overheads implements engine.Policy; the baseline has none.
 func (p *OS) Overheads() engine.Overheads { return engine.Overheads{} }

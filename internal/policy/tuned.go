@@ -65,14 +65,15 @@ func Tuned(name string, w workloads.Workload, m *topology.Machine) (engine.Polic
 }
 
 // TunedFrom is Tuned with a starting placement: initial, when non-nil, is
-// the thread -> context placement the detection policies (spcd, tlb, hwc)
-// start from instead of the OS scatter. The os, random and oracle policies
-// place threads themselves and ignore it.
+// the thread -> context placement the os policy and the detection policies
+// (spcd, tlb, hwc) start from instead of the OS scatter. The random and
+// oracle policies place threads themselves and ignore it.
 func TunedFrom(name string, w workloads.Workload, m *topology.Machine, initial []int) (engine.Policy, error) {
 	nominal := workloads.NominalCycles(w)
 	switch name {
 	case "os":
 		p := NewOS()
+		p.aff = append([]int(nil), initial...)
 		p.churnInterval = max(nominal/3, 1)
 		p.churnProb = 0.35
 		return p, nil

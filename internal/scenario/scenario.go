@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"math/rand"
 
 	"spcd/internal/commmatrix"
 	"spcd/internal/engine"
@@ -128,7 +127,6 @@ func Run(spec Spec) (*Report, error) {
 			Policy:         s.Policy,
 			MasterSeed:     s.MasterSeed,
 			IntervalCycles: s.IntervalCycles,
-			Shards:         s.Options.Shards,
 		},
 	}
 	r.budget = s.IntervalCycles / uint64(r.compute+workloads.NominalAccessCycles)
@@ -608,32 +606,22 @@ func slowdownStats(samples []float64) (mean, p99 float64) {
 }
 
 // intervalPolicy adapts the serving policy to one engine run: it replays
-// the interval-start placement, drives the configured adaptation mode, and
-// routes every proposed migration through the churn governor.
+// the interval-start placement, drives the tuned inner policy (none for
+// static), and routes every proposed migration through the churn governor.
 type intervalPolicy struct {
 	r    *runner
 	k    int
 	now0 uint64 // global time of the interval start
 
-	mode  string // "static", "os", or "detect"
-	inner engine.Policy
-	cur   []int // composite thread -> context, tracks applied migrations
-
-	n             int
-	rng           *rand.Rand
-	churnInterval uint64
-	nextChurn     uint64
+	inner engine.Policy // nil for static
+	cur   []int         // composite thread -> context, tracks applied migrations
 }
 
-// newIntervalPolicy builds the wrapper plus, for detection policies, the
-// tuned inner policy seeded at the interval-start placement.
+// newIntervalPolicy builds the wrapper plus, unless the policy is static,
+// the tuned inner policy seeded at the interval-start placement.
 func (r *runner) newIntervalPolicy(comp *composite, initial []int, k int, now uint64) (*intervalPolicy, error) {
 	p := &intervalPolicy{r: r, k: k, now0: now, cur: append([]int(nil), initial...)}
-	switch r.s.Policy {
-	case "static", "os":
-		p.mode = r.s.Policy
-	default:
-		p.mode = "detect"
+	if r.s.Policy != "static" {
 		inner, err := policy.TunedFrom(r.s.Policy, comp, r.mach, initial)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: %w", err)
@@ -648,22 +636,10 @@ func (p *intervalPolicy) Name() string { return p.r.s.Policy }
 
 // Init implements engine.Policy.
 func (p *intervalPolicy) Init(env *engine.Env) error {
-	p.n = env.NumThreads
-	switch p.mode {
-	case "os":
-		// The OS load balancer's churn, scaled like the single-run OS
-		// policy: a swap decision every third of the (interval) nominal
-		// duration, seeded from the interval's run seed.
-		p.rng = rand.New(rand.NewSource(env.Seed*31 + 7))
-		p.churnInterval = workloads.NominalCycles(env.Workload) / 3
-		if p.churnInterval == 0 {
-			p.churnInterval = 1
-		}
-		p.nextChurn = p.churnInterval
-	case "detect":
-		return p.inner.Init(env)
+	if p.inner == nil {
+		return nil
 	}
-	return nil
+	return p.inner.Init(env)
 }
 
 // InitialAffinity implements engine.Policy: the serving placement the
@@ -671,34 +647,15 @@ func (p *intervalPolicy) Init(env *engine.Env) error {
 // boundary moves are accounted separately (Report.BoundaryMoves).
 func (p *intervalPolicy) InitialAffinity() []int { return append([]int(nil), p.cur...) }
 
-// Tick implements engine.Policy: collect the mode's placement proposal and
-// apply whatever part of it the churn governor admits.
+// Tick implements engine.Policy: collect the inner policy's placement
+// proposal and apply whatever part of it the churn governor admits.
 func (p *intervalPolicy) Tick(now uint64) []int {
-	var target []int
-	switch p.mode {
-	case "static":
+	if p.inner == nil {
 		return nil
-	case "os":
-		if now < p.nextChurn {
-			return nil
-		}
-		for now >= p.nextChurn {
-			p.nextChurn += p.churnInterval
-		}
-		if p.n < 2 || p.rng.Float64() >= 0.35 {
-			return nil
-		}
-		i, j := p.rng.Intn(p.n), p.rng.Intn(p.n)
-		if i == j {
-			return nil
-		}
-		target = append([]int(nil), p.cur...)
-		target[i], target[j] = target[j], target[i]
-	default:
-		target = p.inner.Tick(now)
-		if target == nil {
-			return nil
-		}
+	}
+	target := p.inner.Tick(now)
+	if target == nil {
+		return nil
 	}
 	// The governor's clock is global virtual time: backoff windows started
 	// at a boundary must still be in force here, and vice versa.
@@ -709,13 +666,18 @@ func (p *intervalPolicy) Tick(now uint64) []int {
 		p.r.emit(gnow, "remap.deferred", obs.Uint("interval", uint64(p.k)))
 		p.r.noteFallback(gnow)
 	}
-	if aff == nil {
-		return nil
+	if aff != nil {
+		copy(p.cur, aff)
+		p.r.emit(gnow, "remap.applied", obs.Uint("moved", uint64(moved)),
+			obs.Uint("used", uint64(gov.used)), obs.Uint("budget", uint64(gov.budget)),
+			obs.Uint("interval", uint64(p.k)))
 	}
-	copy(p.cur, aff)
-	p.r.emit(gnow, "remap.applied", obs.Uint("moved", uint64(moved)),
-		obs.Uint("used", uint64(gov.used)), obs.Uint("budget", uint64(gov.budget)),
-		obs.Uint("interval", uint64(p.k)))
+	// An inner policy with Rebase (the os policy) starts its next swap from
+	// the placement actually applied, not its own last proposal. The
+	// detection policies keep their belief (DESIGN.md §16).
+	if rb, ok := p.inner.(interface{ Rebase([]int) }); ok {
+		rb.Rebase(p.cur)
+	}
 	return aff
 }
 

@@ -305,7 +305,8 @@ func TestReportCSVShape(t *testing.T) {
 }
 
 // TestRunJobsParallelismInvariant: a batch renders identically at
-// parallelism 1 and 8.
+// parallelism 1, 8 and 0 (GOMAXPROCS), and a negative parallelism fails
+// every job with an error naming it.
 func TestRunJobsParallelismInvariant(t *testing.T) {
 	var specs []Spec
 	for seed := int64(1); seed <= 4; seed++ {
@@ -314,13 +315,21 @@ func TestRunJobsParallelismInvariant(t *testing.T) {
 		specs = append(specs, s)
 	}
 	seq, errs1 := RunJobs(specs, 1)
-	par, errs8 := RunJobs(specs, 8)
-	for i := range specs {
-		if errs1[i] != nil || errs8[i] != nil {
-			t.Fatalf("job %d errored: %v / %v", i, errs1[i], errs8[i])
+	for _, p := range []int{8, 0} {
+		par, errs := RunJobs(specs, p)
+		for i := range specs {
+			if errs1[i] != nil || errs[i] != nil {
+				t.Fatalf("job %d errored: %v / %v", i, errs1[i], errs[i])
+			}
+			if seq[i].Render() != par[i].Render() {
+				t.Errorf("job %d renders differ between parallelism 1 and %d", i, p)
+			}
 		}
-		if seq[i].Render() != par[i].Render() {
-			t.Errorf("job %d renders differ between parallelism 1 and 8", i)
+	}
+	_, errs := RunJobs(specs, -1)
+	for i, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "Parallelism") {
+			t.Errorf("job %d at parallelism -1: error %v, want one naming Parallelism", i, err)
 		}
 	}
 }

@@ -50,7 +50,8 @@ import (
 // Config identifies one experiment of a sweep. The descriptive fields
 // (Suite, Kernel, Class, Threads) name a workload to construct; Workload,
 // when non-nil, overrides them with a caller-supplied instance (used by
-// spcd.Experiment and by suites the descriptive fields cannot express).
+// spcd.Sweep's Workload and by suites the descriptive fields cannot
+// express).
 // A shared Workload instance must have a pure NewRun: it is called from
 // concurrent workers.
 type Config struct {
@@ -102,18 +103,17 @@ func (c Config) build() (workloads.Workload, error) {
 	return workloads.ByName(c.suiteOrDefault(), c.Kernel, c.Threads, c.Class)
 }
 
-// Product expands the kernels × policies × reps grid in canonical sweep
-// order: kernel-major, policy-middle, rep-minor. This is the order results
-// come back in and the order reports render.
-func Product(suite string, kernels []string, class workloads.Class, threads int, policies []string, reps int) []Config {
-	out := make([]Config, 0, len(kernels)*len(policies)*reps)
-	for _, k := range kernels {
+// Product expands the workloads × policies × reps grid in canonical sweep
+// order: workload-major, policy-middle, rep-minor. Each element of work
+// names one workload (its Policy and Rep are overwritten). This is the
+// order results come back in and the order reports render.
+func Product(work []Config, policies []string, reps int) []Config {
+	out := make([]Config, 0, len(work)*len(policies)*reps)
+	for _, c := range work {
 		for _, p := range policies {
 			for r := 0; r < reps; r++ {
-				out = append(out, Config{
-					Suite: suite, Kernel: k, Class: class,
-					Threads: threads, Policy: p, Rep: r,
-				})
+				c.Policy, c.Rep = p, r
+				out = append(out, c)
 			}
 		}
 	}
@@ -239,6 +239,20 @@ type Runner struct {
 	Options engine.RunOptions
 }
 
+// Workers returns how many workers a pool of the given parallelism starts
+// for jobs jobs: 0 selects GOMAXPROCS, and the count is clamped to
+// [1, jobs]. A negative parallelism is an error. Runner.Run and
+// scenario.RunJobs both size their pools with it.
+func Workers(parallelism, jobs int) (int, error) {
+	if parallelism < 0 {
+		return 0, fmt.Errorf("sweep: negative Parallelism %d", parallelism)
+	}
+	if parallelism == 0 {
+		parallelism = runtime.GOMAXPROCS(0)
+	}
+	return max(min(parallelism, jobs), 1), nil
+}
+
 // Run executes every config and returns the results in the order the
 // configs were given. Per-config failures (including panics) are recorded
 // in Result.Err and do not stop the sweep; use FirstErr to surface them.
@@ -246,21 +260,12 @@ func (r *Runner) Run(configs []Config) ([]Result, error) {
 	if r.Machine == nil {
 		return nil, errors.New("sweep: Machine is required")
 	}
-	if r.Parallelism < 0 {
-		return nil, fmt.Errorf("sweep: negative Parallelism %d", r.Parallelism)
+	workers, err := Workers(r.Parallelism, len(configs))
+	if err != nil {
+		return nil, err
 	}
 	if err := r.Options.Validate(); err != nil {
 		return nil, fmt.Errorf("sweep: %w", err)
-	}
-	workers := r.Parallelism
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(configs) {
-		workers = len(configs)
-	}
-	if workers < 1 {
-		workers = 1
 	}
 
 	results := make([]Result, len(configs))

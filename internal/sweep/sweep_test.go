@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -16,7 +17,10 @@ import (
 
 func testConfigs(t *testing.T) []Config {
 	t.Helper()
-	return Product("nas", []string{"CG", "SP"}, workloads.ClassTest, 8, []string{"os", "spcd"}, 2)
+	return Product([]Config{
+		{Suite: "nas", Kernel: "CG", Class: workloads.ClassTest, Threads: 8},
+		{Suite: "nas", Kernel: "SP", Class: workloads.ClassTest, Threads: 8},
+	}, []string{"os", "spcd"}, 2)
 }
 
 // render flattens results into a comparable byte string: canonical order,
@@ -407,5 +411,28 @@ func TestRunnerValidation(t *testing.T) {
 	}
 	if len(pr.Events()) != 2 {
 		t.Errorf("empty sweep recorded %d events, want sweep.start + sweep.done", len(pr.Events()))
+	}
+}
+
+// TestWorkers pins the worker-count rule every pool shares: 0 selects
+// GOMAXPROCS, the count is clamped to [1, jobs], and negative is an error.
+func TestWorkers(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct{ parallelism, jobs, want int }{
+		{0, 1000, procs},
+		{0, 1, 1},
+		{0, 0, 1},
+		{1, 10, 1},
+		{8, 3, 3},
+		{4, 0, 1},
+		{3, 3, 3},
+	} {
+		got, err := Workers(c.parallelism, c.jobs)
+		if err != nil || got != c.want {
+			t.Errorf("Workers(%d, %d) = %d, %v; want %d", c.parallelism, c.jobs, got, err, c.want)
+		}
+	}
+	if _, err := Workers(-1, 4); err == nil || !strings.Contains(err.Error(), "Parallelism") {
+		t.Errorf("Workers(-1, 4) error %v, want one naming Parallelism", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"spcd"
@@ -69,43 +68,22 @@ func TestObservedArtifactsDeterministic(t *testing.T) {
 	}
 }
 
-// TestExperimentObserve checks the Experiment integration: the Observe hook
-// receives every (policy, rep) pair and its probes record the runs, and
-// Options.Probe records the grid's progress events in canonical order.
+// TestExperimentObserve checks a one-workload sweep's progress events:
+// Options.Probe records sweep.start, one exp.done per config in canonical
+// order, and sweep.done.
 func TestExperimentObserve(t *testing.T) {
-	mach := spcd.DefaultMachine()
 	w, err := spcd.NPB("CG", 8, spcd.ClassTest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	probes := make(map[string]*spcd.Probe)
 	progress := spcd.NewProbe(spcd.ObsOptions{})
-	_, err = spcd.Experiment{
-		Machine:  mach,
+	runWorkload(t, spcd.Sweep{
+		Machine:  spcd.DefaultMachine(),
 		Workload: w,
 		Policies: []string{"os", "spcd"},
 		Reps:     2,
 		Options:  spcd.RunOptions{Probe: progress},
-		Observe: func(policy string, rep int) *spcd.Probe {
-			pr := spcd.NewProbe(spcd.ObsOptions{})
-			mu.Lock()
-			probes[fmt.Sprintf("%s/%d", policy, rep)] = pr
-			mu.Unlock()
-			return pr
-		},
-	}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(probes) != 4 {
-		t.Fatalf("Observe called for %d runs, want 4", len(probes))
-	}
-	for key, pr := range probes {
-		if len(pr.Samples()) == 0 {
-			t.Errorf("%s: probe recorded no samples", key)
-		}
-	}
+	})
 	var got []string
 	for _, ev := range progress.Events() {
 		line := fmt.Sprintf("%d %s", ev.Time, ev.Name)

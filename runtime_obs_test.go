@@ -20,18 +20,14 @@ func renderRuntimeLeg(t *testing.T, o spcd.RunOptions) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := spcd.Experiment{
-		Machine:  spcd.DefaultMachine(),
-		Workload: w,
-		Policies: []string{"os", "spcd"},
-		Reps:     2,
-		BaseSeed: 7,
-		Options:  o,
-	}
-	res, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runWorkload(t, spcd.Sweep{
+		Machine:    spcd.DefaultMachine(),
+		Workload:   w,
+		Policies:   []string{"os", "spcd"},
+		Reps:       2,
+		MasterSeed: 7,
+		Options:    o,
+	})
 	var buf bytes.Buffer
 	for _, pol := range res.Policies() {
 		for _, m := range res.ByPolicy[pol] {
@@ -219,16 +215,8 @@ func TestShardedTraceShardAttribution(t *testing.T) {
 			t.Fatal(err)
 		}
 		pr := spcd.NewProbe(spcd.ObsOptions{})
-		e := spcd.Experiment{
-			Machine:  spcd.DefaultMachine(),
-			Workload: w,
-			Policies: []string{"spcd"},
-			Reps:     1,
-			BaseSeed: 7,
-			Options:  spcd.RunOptions{Shards: shards, Faults: plan},
-			Observe:  func(string, int) *spcd.Probe { return pr },
-		}
-		if _, err := e.Run(); err != nil {
+		o := spcd.RunOptions{Shards: shards, Faults: plan, Probe: pr}
+		if _, err := spcd.Run(spcd.DefaultMachine(), w, "spcd", 8, o); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer

@@ -12,10 +12,11 @@ import (
 
 // TestBadRunSettingsAreErrors: zero keeps each setting's documented
 // default, but a negative count, an unknown suite, a fault plan with a field
-// outside its range or a workload class with a negative size is an error
-// that names it, from every library entry point that takes it, before any
-// run starts. Each case has a deadline, because an unchecked NaN stall rate
-// stalls every scheduling slice and the run never returns.
+// outside its range, a workload class with a negative size or a machine
+// shape the mapping cannot lay out is an error that names it, from every
+// library entry point that takes it, before any run starts. Each case has a
+// deadline, because an unchecked NaN stall rate stalls every scheduling
+// slice and the run never returns.
 func TestBadRunSettingsAreErrors(t *testing.T) {
 	mach := spcd.DefaultMachine()
 	w, err := spcd.NPB("CG", 8, spcd.ClassTest)
@@ -27,7 +28,7 @@ func TestBadRunSettingsAreErrors(t *testing.T) {
 		edit(&s)
 		return s
 	}
-	exp := spcd.Experiment{Machine: mach, Workload: w, Policies: []string{"os"}, Reps: 1}
+	one := spcd.Sweep{Machine: mach, Workload: w, Policies: []string{"os"}, Reps: 1}
 	sweep := spcd.Sweep{Machine: mach, Kernels: []string{"CG"}, Class: spcd.ClassTest,
 		Threads: 8, Policies: []string{"os"}, Reps: 1}
 	runSweep := func(s spcd.Sweep) error {
@@ -44,30 +45,26 @@ func TestBadRunSettingsAreErrors(t *testing.T) {
 		want string
 	}
 	cases := []setting{
-		{"Experiment.Run Reps", func() error {
-			e := exp
-			e.Reps = -2
-			_, err := e.Run()
-			return err
+		{"Sweep{Workload}.Run Reps", func() error {
+			s := one
+			s.Reps = -2
+			return runSweep(s)
 		}, "Reps"},
-		{"Experiment.Run Parallelism", func() error {
-			e := exp
-			e.Parallelism = -1
-			_, err := e.Run()
-			return err
+		{"Sweep{Workload}.Run Parallelism", func() error {
+			s := one
+			s.Parallelism = -1
+			return runSweep(s)
 		}, "Parallelism"},
-		{"Experiment.Scenario Reps", func() error {
-			e := exp
-			e.Reps = -5
-			_, err := e.Scenario(spec(func(*spcd.Scenario) {}))
-			return err
-		}, "Reps"},
-		{"Experiment.Scenario Parallelism", func() error {
-			e := exp
-			e.Policies, e.Parallelism = []string{"static"}, -1
-			_, err := e.Scenario(spec(func(*spcd.Scenario) {}))
-			return err
-		}, "parallelism"},
+		{"Sweep{Workload}.Run with Kernels and Threads", func() error {
+			s := one
+			s.Kernels, s.Threads = []string{"CG"}, 8
+			return runSweep(s)
+		}, "Kernels, Threads"},
+		{"Sweep{Workload}.Run with Suite and Class", func() error {
+			s := one
+			s.Suite, s.Class = "nas", spcd.ClassTest
+			return runSweep(s)
+		}, "Suite, Class"},
 		{"Sweep.Run Threads", func() error {
 			s := sweep
 			s.Threads = -4
@@ -95,7 +92,7 @@ func TestBadRunSettingsAreErrors(t *testing.T) {
 			return serve(spcd.DefaultScenario(-1, spcd.ClassTest, 42))
 		}, "no tenants"},
 	}
-	// Every run setting goes through all five entry points.
+	// Every run setting goes through Run, both Sweep shapes and Serve.
 	nan := math.NaN()
 	for _, o := range []struct {
 		name, want string
@@ -115,17 +112,10 @@ func TestBadRunSettingsAreErrors(t *testing.T) {
 				_, err := spcd.Run(mach, w, "spcd", 1, opts)
 				return err
 			}, o.want},
-			setting{"Experiment.Run " + o.name, func() error {
-				e := exp
-				e.Options = opts
-				_, err := e.Run()
-				return err
-			}, o.want},
-			setting{"Experiment.Scenario " + o.name, func() error {
-				e := exp
-				e.Policies, e.Options = []string{"static"}, opts
-				_, err := e.Scenario(spec(func(*spcd.Scenario) {}))
-				return err
+			setting{"Sweep{Workload}.Run " + o.name, func() error {
+				s := one
+				s.Options = opts
+				return runSweep(s)
 			}, o.want},
 			setting{"Sweep.Run " + o.name, func() error {
 				s := sweep
@@ -165,6 +155,38 @@ func TestBadRunSettingsAreErrors(t *testing.T) {
 				return runWorkload(spcd.ProducerConsumer(8, bad, 2, 100))
 			}, field},
 			setting{"Serve " + field, func() error { return serve(spcd.DefaultScenario(3, bad, 1)) }, field})
+	}
+	// A machine the hierarchical mapping cannot lay out is an error from
+	// every mapping policy, not a run that silently never remaps.
+	w12, err := spcd.NPB("CG", 12, spcd.ClassTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shape := range []struct {
+		sockets, cores int
+		want           string
+	}{
+		{2, 3, "contexts per socket (6) must be a power of two"},
+		{3, 2, "socket count 3 must be a power of two"},
+		{2, 4, ""},
+	} {
+		m, err := spcd.NewMachine(shape.sockets, shape.cores, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pol := range []string{"spcd", "tlb", "hwc", "oracle"} {
+			name := fmt.Sprintf("Run %s on %dx%dx2", pol, shape.sockets, shape.cores)
+			if shape.want == "" {
+				if _, err := spcd.Run(m, w12, pol, 1); err != nil {
+					t.Errorf("%s: %v", name, err)
+				}
+				continue
+			}
+			cases = append(cases, setting{name, func() error {
+				_, err := spcd.Run(m, w12, pol, 1)
+				return err
+			}, shape.want})
+		}
 	}
 	for _, c := range cases {
 		done := make(chan error, 1)

@@ -88,20 +88,16 @@ func TestEngineShardingByteIdenticalWithFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := runWorkload(t, spcd.Sweep{
+			Machine:    spcd.DefaultMachine(),
+			Workload:   w,
+			Policies:   []string{"os", "spcd"},
+			Reps:       2,
+			MasterSeed: 7,
+			Options:    spcd.RunOptions{Shards: shards, Faults: plan},
+		})
 		var buf bytes.Buffer
-		for _, pol := range []string{"os", "spcd"} {
-			e := spcd.Experiment{
-				Machine:  spcd.DefaultMachine(),
-				Workload: w,
-				Policies: []string{pol},
-				Reps:     2,
-				BaseSeed: 7,
-				Options:  spcd.RunOptions{Shards: shards, Faults: plan},
-			}
-			res, err := e.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, pol := range res.Policies() {
 			for _, m := range res.ByPolicy[pol] {
 				if m.CommMatrix != nil {
 					if err := spcd.WriteMatrixCSV(&buf, m.CommMatrix); err != nil {

@@ -10,13 +10,13 @@
 //
 //	mach := spcd.DefaultMachine()
 //	w, _ := spcd.NPB("SP", 32, spcd.ClassTiny)
-//	res, _ := spcd.Experiment{
+//	res, _ := spcd.Sweep{
 //	        Machine:  mach,
 //	        Workload: w,
 //	        Policies: []string{"os", "spcd"},
 //	        Reps:     3,
 //	}.Run()
-//	fmt.Println(res.NormalizedMean("spcd", spcd.MetricTime, "os"))
+//	fmt.Println(res.ByKernel["SP"].NormalizedMean("spcd", spcd.MetricTime, "os"))
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-measured record.

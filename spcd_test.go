@@ -175,18 +175,32 @@ func TestHeatmapRendering(t *testing.T) {
 	}
 }
 
+// runWorkload sweeps one workload and returns its results, failing the
+// test on any per-config error.
+func runWorkload(t *testing.T, s spcd.Sweep) *spcd.Results {
+	t.Helper()
+	rs, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.FirstErr(); err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.Kernels) != 1 || rs.Kernels[0] != s.Workload.Name() {
+		t.Fatalf("Kernels = %v, want [%s]", rs.Kernels, s.Workload.Name())
+	}
+	return rs.ByKernel[s.Workload.Name()]
+}
+
 func TestExperimentFlow(t *testing.T) {
 	mach := spcd.DefaultMachine()
 	w, _ := spcd.NPB("CG", 8, spcd.ClassTest)
-	res, err := spcd.Experiment{
+	res := runWorkload(t, spcd.Sweep{
 		Machine:  mach,
 		Workload: w,
 		Policies: []string{"os", "oracle"},
 		Reps:     2,
-	}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	if got := res.Policies(); len(got) != 2 || got[0] != "os" {
 		t.Errorf("Policies = %v", got)
 	}
@@ -220,20 +234,14 @@ func TestExperimentFlow(t *testing.T) {
 func TestExperimentParallelMatchesSequential(t *testing.T) {
 	mach := spcd.DefaultMachine()
 	w, _ := spcd.NPB("BT", 8, spcd.ClassTest)
-	seq, err := spcd.Experiment{
+	seq := runWorkload(t, spcd.Sweep{
 		Machine: mach, Workload: w, Policies: []string{"os", "oracle"},
 		Reps: 2, Parallelism: 1,
-	}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := spcd.Experiment{
+	})
+	par := runWorkload(t, spcd.Sweep{
 		Machine: mach, Workload: w, Policies: []string{"os", "oracle"},
 		Reps: 2, Parallelism: 4,
-	}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	for _, p := range []string{"os", "oracle"} {
 		a, _ := seq.Values(p, spcd.MetricTime)
 		b, _ := par.Values(p, spcd.MetricTime)
@@ -246,8 +254,8 @@ func TestExperimentParallelMatchesSequential(t *testing.T) {
 }
 
 func TestExperimentValidation(t *testing.T) {
-	if _, err := (spcd.Experiment{}).Run(); err == nil {
-		t.Error("empty experiment should error")
+	if _, err := (spcd.Sweep{}).Run(); err == nil {
+		t.Error("a sweep without a machine should error")
 	}
 }
 

@@ -2,15 +2,17 @@ package spcd
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 
 	"spcd/internal/sweep"
 	"spcd/internal/workloads"
 )
 
-// Sweep runs an evaluation grid — kernels × policies × reps at one class —
-// on the deterministic parallel sweep runner (internal/sweep). This is the
-// shape of every figure in the paper: cmd/npbsuite is a Sweep plus report
-// tables.
+// Sweep runs an evaluation grid — kernels × policies × reps at one class,
+// or one Workload × policies × reps — on the deterministic parallel sweep
+// runner (internal/sweep). This is the shape of every figure in the paper:
+// cmd/npbsuite is a Sweep plus report tables.
 //
 // Determinism contract: the results (and any CSV rendered from them) are
 // byte-identical for a given MasterSeed regardless of Parallelism and of
@@ -20,6 +22,12 @@ import (
 // (the paper's §V-A methodology).
 type Sweep struct {
 	Machine *Machine
+
+	// Workload, when set, is the one workload the sweep runs, in place of
+	// a suite's kernels; Suite, Kernels, Class and Threads must then be
+	// left unset. Its results land in ByKernel[Workload.Name()]. Its NewRun
+	// must be pure: concurrent workers call it.
+	Workload Workload
 
 	// Suite selects the workload family: "nas" (default) or "parsec".
 	Suite string
@@ -85,22 +93,7 @@ func (s Sweep) Run() (*SweepResults, error) {
 	if s.Machine == nil {
 		return nil, errors.New("spcd: sweep needs a Machine")
 	}
-	suite := s.Suite
-	if suite == "" {
-		suite = "nas"
-	}
-	kernels := s.Kernels
-	if len(kernels) == 0 {
-		var err error
-		if kernels, err = workloads.SuiteKernels(suite); err != nil {
-			return nil, err
-		}
-	}
-	class := s.Class
-	if class.Name == "" {
-		class = ClassSmall
-	}
-	threads, err := orDefault("Sweep.Threads", s.Threads, 32)
+	kernels, work, err := s.work()
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +106,7 @@ func (s Sweep) Run() (*SweepResults, error) {
 		return nil, err
 	}
 
-	configs := sweep.Product(suite, kernels, class, threads, policies, reps)
+	configs := sweep.Product(work, policies, reps)
 	runner := sweep.Runner{
 		Machine:     s.Machine,
 		MasterSeed:  s.MasterSeed,
@@ -133,7 +126,7 @@ func (s Sweep) Run() (*SweepResults, error) {
 	}
 
 	out := &SweepResults{
-		Kernels:  append([]string(nil), kernels...),
+		Kernels:  kernels,
 		ByKernel: make(map[string]*Results, len(kernels)),
 		Keys:     make([]string, len(rs)),
 		Errs:     make([]error, len(rs)),
@@ -160,9 +153,50 @@ func (s Sweep) Run() (*SweepResults, error) {
 	return out, nil
 }
 
-// DeriveSweepSeed exposes the sweep runner's (masterSeed, configKey) → run
-// seed derivation, so external tools can reproduce a single experiment out
-// of an archived sweep without re-running the grid.
-func DeriveSweepSeed(masterSeed int64, configKey string) int64 {
-	return sweep.DeriveSeed(masterSeed, configKey)
+// work returns the names and configs of the workloads the sweep runs, one
+// per kernel (or the one Workload), with the defaults applied.
+func (s Sweep) work() ([]string, []sweep.Config, error) {
+	if s.Workload != nil {
+		var set []string
+		if s.Suite != "" {
+			set = append(set, "Suite")
+		}
+		if len(s.Kernels) > 0 {
+			set = append(set, "Kernels")
+		}
+		if s.Class.Name != "" {
+			set = append(set, "Class")
+		}
+		if s.Threads != 0 {
+			set = append(set, "Threads")
+		}
+		if len(set) > 0 {
+			return nil, nil, fmt.Errorf("spcd: Sweep.Workload excludes %s", strings.Join(set, ", "))
+		}
+		return []string{s.Workload.Name()}, []sweep.Config{{Workload: s.Workload}}, nil
+	}
+	suite := s.Suite
+	if suite == "" {
+		suite = "nas"
+	}
+	kernels := s.Kernels
+	if len(kernels) == 0 {
+		var err error
+		if kernels, err = workloads.SuiteKernels(suite); err != nil {
+			return nil, nil, err
+		}
+	}
+	class := s.Class
+	if class.Name == "" {
+		class = ClassSmall
+	}
+	threads, err := orDefault("Sweep.Threads", s.Threads, 32)
+	if err != nil {
+		return nil, nil, err
+	}
+	work := make([]sweep.Config, len(kernels))
+	for i, k := range kernels {
+		work[i] = sweep.Config{Suite: suite, Kernel: k, Class: class, Threads: threads}
+	}
+	return append([]string(nil), kernels...), work, nil
 }
