@@ -12,6 +12,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"spcd/internal/obs"
@@ -97,15 +98,25 @@ func (s Stats) C2CTotal() uint64 { return s.C2CSameSocket + s.C2CCrossSocket }
 // DRAMTotal returns all DRAM accesses.
 func (s Stats) DRAMTotal() uint64 { return s.DRAMLocal + s.DRAMRemote }
 
+// MaxLines bounds the physical cache lines a run may use: a tag word holds
+// line+1 in 32 bits, with 0 marking an empty slot, so lines 0..MaxLines-1
+// are taggable (256 GiB of 64-byte lines). The vm numbers frames densely
+// from zero and never reuses one, so a run stays within the bound exactly
+// when its frames span at most MaxLines lines; engine.Run checks that
+// after the access loop, so no run past the bound returns counters.
+const MaxLines = math.MaxUint32
+
 // array is one physical set-associative cache with LRU replacement. Tags
-// and stamps live in their own slices: find reads only tags and the victim
-// scan reads only stamps, so each scan walks one contiguous run of words.
+// and stamps live in their own slices of 32-bit words: find reads only
+// tags and the victim scan reads only stamps, so each scan walks one
+// contiguous run of words.
 //
-//   - tags[i] holds line+1, so 0 marks an empty slot and validity needs no
-//     bit of its own.
+//   - tags[i] holds line+1 (line < MaxLines), so 0 marks an empty slot and
+//     validity needs no bit of its own.
 //   - stamp[i] is the clock value of the slot's last fill or hit. The clock
 //     is incremented before every use, so a resident line's stamp is at
-//     least 1; an emptied slot gets stamp 0.
+//     least 1; an emptied slot gets stamp 0. When the 32-bit clock would
+//     wrap, renumber compacts every set's stamps in order.
 //   - dirty is a packed bitset, one bit per slot.
 //
 // The victim rule is part of the deterministic simulation contract: the
@@ -113,7 +124,7 @@ func (s Stats) DRAMTotal() uint64 { return s.DRAMLocal + s.DRAMRemote }
 // rule, "the first slot holding the set's minimum stamp": an empty slot's
 // 0 is below every resident stamp, so the first minimum is the first empty
 // slot when there is one, and otherwise the lowest resident stamp (stamps
-// are unique, since every refresh takes a fresh clock value).
+// are unique within a set, since every refresh takes a fresh clock value).
 //
 // The set-base computation is a mask when the set count is a power of two
 // (it is, for every realistic geometry).
@@ -121,28 +132,26 @@ type array struct {
 	sets, ways int
 	setMask    uint64 // sets-1 when sets is a power of two
 	pow2       bool
-	tags       []uint64 // line+1, 0 = empty
+	tags       []uint32 // line+1, 0 = empty
 	dirty      []uint64 // packed: bit i = slot i
-	stamp      []uint64 // LRU clock of the last fill or hit, 0 = empty
-	clock      uint64
+	stamp      []uint32 // LRU clock of the last fill or hit, 0 = empty
+	clock      uint32
 }
 
+// newArray builds the array for one cache level. Machine.Validate has
+// checked that the level is a whole number of sets.
 func newArray(geom topology.CacheGeometry, lineSize int) *array {
-	lines := geom.Size / lineSize
 	ways := geom.Assoc
-	sets := lines / ways
-	if sets < 1 {
-		sets = 1
-	}
+	sets := geom.Size / lineSize / ways
 	n := sets * ways
 	return &array{
 		sets:    sets,
 		ways:    ways,
 		setMask: uint64(sets - 1),
 		pow2:    sets&(sets-1) == 0,
-		tags:    make([]uint64, n),
+		tags:    make([]uint32, n),
 		dirty:   make([]uint64, (n+63)/64),
-		stamp:   make([]uint64, n),
+		stamp:   make([]uint32, n),
 	}
 }
 
@@ -163,7 +172,7 @@ func (a *array) clearDirty(i int)   { a.dirty[i>>6] &^= 1 << (uint(i) & 63) }
 // scanning the set again.
 func (a *array) find(line uint64) int {
 	base := a.setBase(line)
-	tag := line + 1
+	tag := uint32(line + 1)
 	for i, t := range a.tags[base : base+a.ways] {
 		if t == tag {
 			return base + i
@@ -174,8 +183,38 @@ func (a *array) find(line uint64) int {
 
 // touch refreshes slot i's LRU stamp.
 func (a *array) touch(i int) {
+	if a.clock == math.MaxUint32 {
+		a.renumber()
+	}
 	a.clock++
 	a.stamp[i] = a.clock
+}
+
+// renumber replaces each set's resident stamps by their ranks 1..k, in the
+// same order, leaves empty slots at 0 and restarts the clock at ways, above
+// every rank. Victims are chosen within one set, so every later victim is
+// the one an unbounded clock would pick. touch calls it when the clock
+// would wrap, at most once per 2^32 - ways refreshes of the array.
+//
+//go:noinline
+func (a *array) renumber() {
+	rank := make([]uint32, a.ways)
+	for base := 0; base < len(a.stamp); base += a.ways {
+		set := a.stamp[base : base+a.ways]
+		for i, s := range set {
+			rank[i] = 0
+			if s == 0 {
+				continue
+			}
+			for _, o := range set {
+				if o != 0 && o <= s {
+					rank[i]++
+				}
+			}
+		}
+		copy(set, rank)
+	}
+	a.clock = uint32(a.ways)
 }
 
 // empty removes the line in slot i, reporting whether it was dirty.
@@ -214,9 +253,9 @@ func (a *array) insert(line uint64, dirty bool) (evicted uint64, evictedDirty, h
 		}
 	}
 	if t := a.tags[victim]; t != 0 {
-		evicted, evictedDirty, hadEviction = t-1, a.isDirty(victim), true
+		evicted, evictedDirty, hadEviction = uint64(t-1), a.isDirty(victim), true
 	}
-	a.tags[victim] = line + 1
+	a.tags[victim] = uint32(line + 1)
 	if dirty {
 		a.setDirty(victim)
 	} else {

@@ -21,7 +21,7 @@ func (h *Hierarchy) checkConsistency() error {
 			if tag == 0 {
 				continue
 			}
-			line := tag - 1
+			line := uint64(tag - 1)
 			if resident[line] == nil {
 				resident[line] = make(map[int]*residency)
 			}

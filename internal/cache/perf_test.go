@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"runtime"
 	"testing"
 
 	"spcd/internal/topology"
@@ -67,6 +68,37 @@ func TestAccessSteadyStateAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(5, epoch); n != 0 {
 		t.Errorf("steady-state Shard.Access epoch allocates %.1f objects, want 0", n)
 	}
+}
+
+// TestNewFootprint is the memory gate for a run's fixed cache state: every
+// engine run builds a fresh hierarchy, so New may allocate 8 bytes per slot
+// (a 32-bit tag and a 32-bit LRU stamp) plus the packed dirty bitsets. The
+// stated slack, 1% of that budget, covers the structs and slice headers
+// around the arrays.
+func TestNewFootprint(t *testing.T) {
+	m := topology.DefaultXeon()
+	budget := 0
+	for _, lv := range []struct {
+		g      topology.CacheGeometry
+		arrays int
+	}{{m.L1, m.NumCores()}, {m.L2, m.NumCores()}, {m.L3, m.Sockets}} {
+		slots := lv.g.Size / m.LineSize
+		budget += lv.arrays * (8*slots + (slots+63)/64*8)
+	}
+	limit := uint64(budget + budget/100)
+	if got := allocatedBytes(func() { New(m) }); got > limit {
+		t.Errorf("New(DefaultXeon) allocated %d bytes, want at most %d (8 bytes per slot plus dirty bits, %d, and 1%% slack)",
+			got, limit, budget)
+	}
+}
+
+// allocatedBytes returns the bytes f allocates (the TotalAlloc delta).
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 func BenchmarkAccessL1Hit(b *testing.B) {

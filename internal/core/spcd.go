@@ -94,6 +94,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: granularity %d is not a positive power of two", c.Granularity)
 	case c.TableSize <= 0:
 		return errors.New("core: TableSize must be positive")
+	case c.TableSize > hashtab.MaxSize:
+		return fmt.Errorf("core: TableSize %d exceeds the table's limit of %d buckets", c.TableSize, hashtab.MaxSize)
 	case c.SamplerInterval == 0:
 		return errors.New("core: SamplerInterval must be positive")
 	case c.TargetExtraFaultRatio < 0 || c.TargetExtraFaultRatio >= 1:

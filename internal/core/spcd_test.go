@@ -2,8 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
+	"spcd/internal/hashtab"
 	"spcd/internal/topology"
 	"spcd/internal/vm"
 )
@@ -58,6 +60,21 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := NewDetector(cfg); err == nil {
 			t.Errorf("case %d: NewDetector should reject config", i)
 		}
+	}
+}
+
+// TestConfigRejectsOversizedTable: a bucket holds an int32 position, so a
+// table past hashtab.MaxSize is a configuration error naming the field, not
+// a panic in hashtab.New.
+func TestConfigRejectsOversizedTable(t *testing.T) {
+	cfg := testConfig(4)
+	cfg.TableSize = hashtab.MaxSize + 1
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "TableSize") {
+		t.Fatalf("Validate() = %v, want an error naming TableSize", err)
+	}
+	cfg.TableSize = hashtab.MaxSize
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("Validate() at MaxSize = %v, want nil", err)
 	}
 }
 

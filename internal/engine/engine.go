@@ -357,6 +357,13 @@ func Run(cfg Config) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
+	// A cache tag names at most cache.MaxLines lines, and frames are dense,
+	// so the frame count bounds every line the run touched. A run past the
+	// bound may have aliased two lines' tags: it returns no counters.
+	if frames, perPage := s.as.Frames(), s.caches.LineOf(uint64(s.mach.PageSize)); frames > cache.MaxLines/perPage {
+		return Metrics{}, fmt.Errorf("engine: %d frames of %d lines each exceed the cache's bound of %d physical lines (cache.MaxLines)",
+			frames, perPage, uint64(cache.MaxLines))
+	}
 	// Thread clocks never decrease, so the run ends at the largest final
 	// clock.
 	var execCycles uint64

@@ -125,6 +125,18 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{Machine: wide, Workload: w, Policy: &pinned{}}); err == nil {
 		t.Error("a 64-core machine should fail validation")
 	}
+	// So is a cache level that is not a whole number of sets, which the
+	// cache would otherwise build at a different size: a 64-byte 20-way L3
+	// and a 3,000-byte 8-way L1.
+	partialL3 := topology.DefaultXeon()
+	partialL3.L3 = topology.CacheGeometry{Size: 64, Assoc: 20}
+	partialL1 := topology.DefaultXeon()
+	partialL1.L1 = topology.CacheGeometry{Size: 3000, Assoc: 8}
+	for _, m := range []*topology.Machine{partialL3, partialL1} {
+		if _, err := Run(Config{Machine: m, Workload: w, Policy: &pinned{}}); err == nil {
+			t.Errorf("L1 %+v, L3 %+v: a cache of partial sets should fail validation", m.L1, m.L3)
+		}
+	}
 }
 
 func TestRunPolicyInitError(t *testing.T) {

@@ -62,9 +62,10 @@ func (m *model) resident(region uint64) []Sharer {
 // regions, so buckets collide, and its high nibble the thread; the second
 // byte advances the clock. After every call the table must agree with the
 // model on Touch's prev, Lookup of every region, Len, the entries ForEach
-// visits, and Stats. Touch's prev aliases the entry, so the caller's own
-// record in it already holds this access; only the other sharers' records
-// are compared.
+// visits and their order (ascending bucket index, which the data-mapping
+// pass's migration order depends on), and Stats. Touch's prev aliases the
+// entry, so the caller's own record in it already holds this access; only
+// the other sharers' records are compared.
 func FuzzTable(f *testing.F) {
 	const regions = 16
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -108,11 +109,18 @@ func FuzzTable(f *testing.F) {
 				fail("Len = %d, want %d", tab.Len(), len(m.buckets))
 			}
 			visited := make(map[uint64]bool)
+			last := -1
 			tab.ForEach(func(e *Entry) {
 				want := m.resident(e.Region)
 				if visited[e.Region] || want == nil || !slices.Equal(e.Sharers, want) {
 					fail("ForEach visited region %d (again: %t) with sharers %+v, want %+v",
 						e.Region, visited[e.Region], e.Sharers, want)
+				}
+				if b := int(hash64(e.Region) % size); b > last {
+					last = b
+				} else {
+					fail("ForEach visited region %d in bucket %d after bucket %d, want ascending bucket order",
+						e.Region, b, last)
 				}
 				visited[e.Region] = true
 			})

@@ -1,6 +1,7 @@
 package hashtab
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -111,6 +112,25 @@ func TestNewPanicsOnBadSize(t *testing.T) {
 func TestDefaultSizeMatchesPaper(t *testing.T) {
 	if DefaultSize != 256000 {
 		t.Errorf("DefaultSize = %d, want 256000 (Table I)", DefaultSize)
+	}
+}
+
+// TestNewFootprint is the memory gate for the detector's table: every spcd
+// run builds one, so New may allocate 4 bytes per bucket, with a stated
+// slack of 1% for the Table struct. Entries cost memory only once a run
+// uses their bucket.
+func TestNewFootprint(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tab := New(DefaultSize)
+	runtime.ReadMemStats(&after)
+	budget := 4 * DefaultSize
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(budget+budget/100); got > limit {
+		t.Errorf("New(%d) allocated %d bytes, want at most %d (4 bytes per bucket and 1%% slack)",
+			DefaultSize, got, limit)
+	}
+	if got := tab.MemoryBytes(); got != budget {
+		t.Errorf("MemoryBytes of an unused table = %d, want %d", got, budget)
 	}
 }
 

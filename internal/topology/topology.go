@@ -246,6 +246,17 @@ func (m *Machine) Validate() error {
 	case m.ClockHz <= 0:
 		return errors.New("topology: clock frequency must be positive")
 	}
+	// A cache is a whole number of sets of Assoc lines; any other size
+	// would be silently rounded to a different cache.
+	for _, lv := range []struct {
+		name string
+		g    CacheGeometry
+	}{{"L1", m.L1}, {"L2", m.L2}, {"L3", m.L3}} {
+		if lv.g.Size%m.LineSize != 0 || lv.g.Size/m.LineSize%lv.g.Assoc != 0 {
+			return fmt.Errorf("topology: %s size %d is not a multiple of its set size %d (%d-byte lines × %d ways)",
+				lv.name, lv.g.Size, m.LineSize*lv.g.Assoc, m.LineSize, lv.g.Assoc)
+		}
+	}
 	if m.Shootdown != ShootdownNone {
 		c := m.ShootdownCosts
 		switch {

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -201,6 +202,40 @@ func TestValidateRejectsBadGeometry(t *testing.T) {
 	m.L2.Assoc = 0
 	if err := m.Validate(); err == nil {
 		t.Error("expected error for zero associativity")
+	}
+}
+
+// TestValidateRejectsPartialSets: a cache level must be a whole number of
+// sets. A 64-byte, 20-way L3 would otherwise be built as one 1,280-byte
+// set, and a 3,000-byte, 8-way L1 as five sets of 2,560 bytes.
+func TestValidateRejectsPartialSets(t *testing.T) {
+	cases := []struct {
+		name    string
+		mutate  func(*Machine)
+		level   string
+		size    string
+		setSize string
+	}{
+		{"L3 smaller than one set", func(m *Machine) { m.L3 = CacheGeometry{Size: 64, Assoc: 20} }, "L3", "64", "1280"},
+		{"L1 not a whole number of sets", func(m *Machine) { m.L1 = CacheGeometry{Size: 3000, Assoc: 8} }, "L1", "3000", "512"},
+		{"L2 not a whole number of lines", func(m *Machine) { m.L2 = CacheGeometry{Size: 256*1024 + 8, Assoc: 8} }, "L2", "262152", "512"},
+	}
+	for _, c := range cases {
+		m := DefaultXeon()
+		c.mutate(m)
+		err := m.Validate()
+		if err == nil {
+			t.Errorf("%s: Validate() = nil, want an error", c.name)
+			continue
+		}
+		for _, want := range []string{c.level, c.size, c.setSize} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not name %s", c.name, err, want)
+			}
+		}
+	}
+	if err := DefaultXeon().Validate(); err != nil {
+		t.Fatalf("DefaultXeon: %v", err)
 	}
 }
 

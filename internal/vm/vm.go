@@ -309,6 +309,11 @@ func (as *AddressSpace) Costs() Costs { return as.costs }
 // PageShift returns log2 of the page size.
 func (as *AddressSpace) PageShift() uint { return as.pageShift }
 
+// Frames returns the number of physical frames allocated so far. Frames are
+// numbered densely from zero and never reused (mapPage, TryMigratePageAt),
+// so every frame number is below it.
+func (as *AddressSpace) Frames() uint64 { return uint64(as.nextFrame) }
+
 // PageOf returns the virtual page number of addr.
 func (as *AddressSpace) PageOf(addr uint64) uint64 { return addr >> as.pageShift }
 

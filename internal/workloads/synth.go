@@ -100,6 +100,10 @@ func (s SynthSpec) Validate() error {
 // Synth is the generic synthetic kernel.
 type Synth struct {
 	spec SynthSpec
+	// peers[t] is spec.Graph(t, Threads), evaluated once: the graph does
+	// not depend on the run seed, and some graphs (Irregular) seed random
+	// sources on every call. Read-only after NewSynth, so runs share it.
+	peers [][]PeerWeight
 }
 
 // NewSynth builds a synthetic kernel from spec; it panics on invalid specs
@@ -111,7 +115,13 @@ func NewSynth(spec SynthSpec) *Synth {
 	if spec.DurationScale == 0 {
 		spec.DurationScale = 1
 	}
-	return &Synth{spec: spec}
+	s := &Synth{spec: spec, peers: make([][]PeerWeight, spec.Threads)}
+	if spec.Graph != nil {
+		for t := range s.peers {
+			s.peers[t] = spec.Graph(t, spec.Threads)
+		}
+	}
+	return s
 }
 
 // Name returns the kernel name.
@@ -169,13 +179,11 @@ func (s *Synth) NewRun(seed int64) Run {
 	for t := 0; t < n; t++ {
 		addRegionPages(privateRegion(t, uint64(cl.PrivatePages)*PageBytes),
 			uint64(cl.PrivatePages)*PageBytes)
-		if s.spec.Graph != nil {
-			for _, pw := range s.spec.Graph(t, n) {
-				base := pairRegion(t, pw.Peer, n, uint64(cl.BoundaryPages)*PageBytes)
-				if !pairSeen[base] {
-					pairSeen[base] = true
-					addRegionPages(base, uint64(cl.BoundaryPages)*PageBytes)
-				}
+		for _, pw := range s.peers[t] {
+			base := pairRegion(t, pw.Peer, n, uint64(cl.BoundaryPages)*PageBytes)
+			if !pairSeen[base] {
+				pairSeen[base] = true
+				addRegionPages(base, uint64(cl.BoundaryPages)*PageBytes)
 			}
 		}
 	}
@@ -186,9 +194,7 @@ func (s *Synth) NewRun(seed int64) Run {
 		th.private = newCursor(privateRegion(t, uint64(cl.PrivatePages)*PageBytes),
 			uint64(cl.PrivatePages)*PageBytes)
 		th.global = newCursor(globalBase, uint64(cl.GlobalPages)*PageBytes)
-		if s.spec.Graph != nil {
-			th.peers = s.spec.Graph(t, n)
-		}
+		th.peers = s.peers[t]
 		total := 0.0
 		for _, pw := range th.peers {
 			total += pw.Weight

@@ -1,6 +1,9 @@
 package workloads
 
 import (
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"spcd/internal/commmatrix"
@@ -374,5 +377,41 @@ func TestProducerConsumerWorkTotal(t *testing.T) {
 	}
 	if p.PhaseLength() != 500 {
 		t.Errorf("PhaseLength = %d", p.PhaseLength())
+	}
+}
+
+// TestConcurrentRunsOfOneSynth: NewSynth evaluates the communication graph
+// once and every run reads the kept peer lists, so runs made concurrently
+// from one workload, as a parallel sweep of one Workload makes them, must
+// produce the streams a lone run produces. Run it with -race.
+func TestConcurrentRunsOfOneSynth(t *testing.T) {
+	w, err := NewNPB("UA", 8, ClassTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func() string {
+		r := w.NewRun(3)
+		var b strings.Builder
+		fmt.Fprint(&b, drainInit(r))
+		for th := 0; th < w.NumThreads(); th++ {
+			fmt.Fprint(&b, drain(r, th))
+		}
+		return b.String()
+	}
+	want := render()
+	got := make([]string, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = render()
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != want {
+			t.Errorf("concurrent run %d differs from a lone run", i)
+		}
 	}
 }

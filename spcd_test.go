@@ -32,6 +32,28 @@ func TestNewMachine(t *testing.T) {
 	}
 }
 
+// TestRunRejectsRunsPastTheLineBound: cache tags are 32-bit, so a run's
+// frames may span at most cache.MaxLines lines. With 2^38-byte pages each
+// frame spans 2^32 lines, so the run crosses the bound and must return its
+// error instead of counters from aliased tags. The same run on 4 KiB pages
+// stays far inside it.
+func TestRunRejectsRunsPastTheLineBound(t *testing.T) {
+	w, err := spcd.NPB("CG", 32, spcd.ClassTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, policy := range []string{"os", "spcd"} {
+		huge := spcd.DefaultMachine()
+		huge.PageSize = 1 << 38
+		if _, err := spcd.Run(huge, w, policy, 1); err == nil || !strings.Contains(err.Error(), "cache.MaxLines") {
+			t.Errorf("%s on 2^38-byte pages: err = %v, want the cache.MaxLines bound", policy, err)
+		}
+		if _, err := spcd.Run(spcd.DefaultMachine(), w, policy, 1); err != nil {
+			t.Errorf("%s on 4 KiB pages: %v", policy, err)
+		}
+	}
+}
+
 func TestNPBConstructors(t *testing.T) {
 	for _, name := range spcd.NPBNames {
 		w, err := spcd.NPB(name, 8, spcd.ClassTest)
